@@ -22,9 +22,9 @@ from .perceptron import (
     Distribution,
     PerceptronConfig,
     PerceptronModel,
+    error_mass,
     fit_perceptron,
     predict_many,
-    weighted_error,
 )
 from .rng import derive_seed
 
@@ -107,7 +107,11 @@ def update_distribution(
         raise ValueError("distribution, predictions and labels must share length")
     unnormalized = p * np.exp(-alpha * labels * predictions)
     total = float(np.sum(unnormalized))
-    assert total > 0.0, "unnormalized mass vanished; alpha must be finite"
+    if not total > 0.0:
+        raise ValueError(
+            f"unnormalized mass {total!r} after reweighting by alpha {alpha!r}; "
+            "alpha must be finite and small enough that some weight survives"
+        )
     return Distribution(unnormalized / total)
 
 
@@ -138,8 +142,8 @@ def train_adaboost(
     for t in range(n_rounds):
         round_config = replace(weak_config, seed=derive_seed(weak_config.seed, t))
         model = fit_perceptron(train, dist, round_config)
-        raw_epsilon = weighted_error(model, train, dist)
         predictions = predict_many(model, train.features)
+        raw_epsilon = error_mass(dist, predictions, train.labels)
         flipped = raw_epsilon > 0.5
         if flipped:
             predictions = -predictions

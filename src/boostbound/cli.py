@@ -98,7 +98,9 @@ _COMMON_DEFAULTS = {
     "repeats": 1,
 }
 
-# Full-scale grids; desk-scale runs pass their own flags.
+# Grids used where neither a flag nor the config file sets one: full scale
+# for t-sweep, m-sweep and d-sweep; desk scale for confidence, which runs
+# eight sweeps.
 _MODE_DEFAULTS = {
     "t-sweep": {"d": 50, "m": 1000, "t-max": 100, "repeats": 100},
     "m-sweep": {"d": 25, "m-min": 10, "m-max": 10000, "m-step": 10},

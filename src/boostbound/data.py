@@ -156,6 +156,42 @@ def split_half(dataset: Dataset, seed: int) -> SplitPair:
     )
 
 
+def _count_line_breaks(path: Path) -> int:
+    """Line terminators (``\n``, ``\r`` or ``\r\n``) in the file's bytes.
+
+    A CSV record ends at one of these unless it is the last line, so this
+    bounds the number of records after the header. A ``\r\n`` split
+    across two reads counts twice, which keeps the bound an upper bound.
+    """
+    count = 0
+    buf = bytearray(1 << 20)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            crlf = buf.count(b"\r\n", 0, n)
+            count += buf.count(b"\n", 0, n) + buf.count(b"\r", 0, n) - crlf
+    return count
+
+
+def _parse_row(
+    path: Path, line_no: int, names: Sequence[str], cells: Sequence[str]
+) -> list[float]:
+    """Parse one row's feature cells, raising at the first one that is not
+    a finite real, with its row, column and text."""
+    values = []
+    for name, cell in zip(names, cells):
+        try:
+            value = float(cell.strip())
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(
+                f"{path}: row {line_no}, column {name!r}: "
+                f"cannot parse {cell!r} as a finite real"
+            )
+        values.append(value)
+    return values
+
+
 def load_csv(path: str | Path, target_column: str, positive_value: str) -> Dataset:
     """Read a headered CSV into a Dataset.
 
@@ -163,10 +199,15 @@ def load_csv(path: str | Path, target_column: str, positive_value: str) -> Datas
     -1. All other columns must parse as finite decimal reals and become
     features in header order. Rows are reported 1-based counting the
     header as row 1.
+
+    The file is read twice: once in binary to bound the row count, then
+    once through ``csv.reader`` straight into preallocated float64 arrays,
+    so only one row is ever held as Python floats.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
+    max_rows = _count_line_breaks(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -180,8 +221,9 @@ def load_csv(path: str | Path, target_column: str, positive_value: str) -> Datas
         target_idx = header.index(target_column)
         feature_names = tuple(h for i, h in enumerate(header) if i != target_idx)
 
-        rows: list[list[float]] = []
-        labels: list[float] = []
+        features = np.empty((max_rows, len(feature_names)))
+        labels = np.empty(max_rows)
+        k = 0
         for line_no, cells in enumerate(reader, start=2):
             if not cells or (len(cells) == 1 and cells[0].strip() == ""):
                 continue
@@ -189,31 +231,14 @@ def load_csv(path: str | Path, target_column: str, positive_value: str) -> Datas
                 raise ValueError(
                     f"{path}: row {line_no} has {len(cells)} cells, expected {len(header)}"
                 )
-            row: list[float] = []
-            for i, cell in enumerate(cells):
-                if i == target_idx:
-                    continue
-                text = cell.strip()
-                try:
-                    value = float(text)
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"{path}: row {line_no}, column {header[i]!r}: "
-                        f"cannot parse {cell!r} as a finite real"
-                    )
-                row.append(value)
-            labels.append(1.0 if cells[target_idx].strip() == positive_value else -1.0)
-            rows.append(row)
+            target = cells.pop(target_idx)
+            features[k] = _parse_row(path, line_no, feature_names, cells)
+            labels[k] = 1.0 if target.strip() == positive_value else -1.0
+            k += 1
 
-    if not rows:
+    if k == 0:
         raise ValueError(f"{path}: no data rows after the header")
-    return Dataset(
-        features=np.array(rows, dtype=np.float64),
-        labels=np.array(labels, dtype=np.float64),
-        feature_names=feature_names,
-    )
+    return Dataset(features=features[:k], labels=labels[:k], feature_names=feature_names)
 
 
 def select_features(dataset: Dataset, column_indices: Sequence[int]) -> Dataset:

@@ -125,5 +125,10 @@ def weighted_error(model: PerceptronModel, data: Dataset, dist: Distribution) ->
         raise ValueError(
             f"distribution length {dist.probabilities.shape[0]} != row count {data.n_rows}"
         )
-    mistakes = predict_many(model, data.features) != data.labels
-    return float(np.sum(dist.probabilities[mistakes]))
+    return error_mass(dist, predict_many(model, data.features), data.labels)
+
+
+def error_mass(dist: Distribution, predictions: np.ndarray, labels: np.ndarray) -> float:
+    """Probability mass of the rows where ``predictions`` differ from ``labels``."""
+    # A distribution may sum to 1 + (a few ulps); a probability may not.
+    return min(float(np.sum(dist.probabilities[predictions != labels])), 1.0)

@@ -1,6 +1,7 @@
 """Boosting loop: alpha/z arithmetic, distribution updates, ensembles, margin."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,14 @@ class TestUpdateDistribution:
         d = Distribution.uniform(3)
         with pytest.raises(ValueError, match="length"):
             update_distribution(d, 0.1, np.ones(2), np.ones(3))
+
+    @pytest.mark.parametrize("alpha", [1e308, math.nan])
+    def test_vanishing_mass_raises(self, alpha):
+        # 1e308 on all-correct rows underflows every weight to 0; nan poisons the sum
+        d = Distribution.uniform(3)
+        rows = np.array([1.0, -1.0, 1.0])
+        with pytest.raises(ValueError, match=rf"mass (0\.0|nan) .*alpha {re.escape(repr(alpha))}"):
+            update_distribution(d, alpha, rows, rows)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 500), alpha=st.floats(0.0, 5.0))

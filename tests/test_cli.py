@@ -2,7 +2,7 @@
 
 import pytest
 
-from boostbound.cli import dispatch
+from boostbound.cli import _build_parser, _resolve, dispatch
 from boostbound.data import load_csv
 from boostbound.experiments import load_records_csv
 
@@ -236,6 +236,20 @@ class TestExpCommand:
         ])
         assert code == 2  # d=75/100 sweeps have no applicable cell at m <= 20
         assert "confidence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mode, expected",
+        [
+            # confidence runs eight sweeps, so its defaults are desk scale
+            ("confidence", dict(m_min=10, m_max=2000, m_step=50,
+                                d_min=5, d_max=200, d_step=15, repeats=3)),
+            ("m-sweep", dict(d=25, m_min=10, m_max=10000, m_step=10, repeats=1)),
+        ],
+    )
+    def test_default_grids(self, mode, expected):
+        cfg = _resolve(_build_parser().parse_args(["exp", mode, "--out", "x"]))
+        assert {k: cfg[k] for k in expected} == expected
+        assert (cfg["t_max"], cfg["epochs"], cfg["seed"]) == (10, 10, 42)
 
     def test_grid_failure_is_runtime_error(self, tmp_path, capsys):
         gen_out = tmp_path / "gen"

@@ -1,6 +1,9 @@
 """Dataset construction, synthetic generation, splitting, CSV ingestion."""
 
+import csv
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +209,110 @@ class TestLoadCsv:
         np.testing.assert_array_equal(again.features, ds.features)
         np.testing.assert_array_equal(again.labels, ds.labels)
         assert again.feature_names == ds.feature_names
+
+    def test_blank_lines_skipped_but_counted_in_row_numbers(self, tmp_path):
+        path = self.write(tmp_path, "t,a\n1,1\n\n0,2\n")
+        ds = load_csv(path, target_column="t", positive_value="1")
+        np.testing.assert_array_equal(ds.features, [[1.0], [2.0]])
+        path = self.write(tmp_path, "t,a\n1,1\n\n0,oops\n")
+        with pytest.raises(ValueError, match=r"row 4, column 'a'"):
+            load_csv(path, target_column="t", positive_value="1")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            't,a,b\n"1","0.5","2"\n"0",1.5,"3"\n',  # quoted cells
+            "t , a , b\n 1 , 0.5 ,2\n0,\t1.5, 3 \n",  # space-padded cells
+            "t,a,b\r\n1,0.5,2\r\n0,1.5,3\r\n",  # CRLF line endings
+            "t,a,b\r1,0.5,2\r0,1.5,3\r",  # CR line endings
+            "t,a,b\n1,0.5,2\n0,1.5,3",  # no trailing newline
+            "t,a,b\n1,\x1c0.5,2\n0,1.5,3\x1f\n",  # padding str.strip drops
+        ],
+    )
+    def test_cell_and_line_formats(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        ds = load_csv(path, target_column="t", positive_value="1")
+        np.testing.assert_array_equal(ds.labels, [1.0, -1.0])
+        np.testing.assert_array_equal(ds.features, [[0.5, 2.0], [1.5, 3.0]])
+        assert ds.feature_names == ("a", "b")
+
+    def test_non_numeric_target(self, tmp_path):
+        path = self.write(tmp_path, "a,label\n1,yes\n2,no\n3, yes \n")
+        ds = load_csv(path, target_column="label", positive_value="yes")
+        np.testing.assert_array_equal(ds.labels, [1.0, -1.0, 1.0])
+        np.testing.assert_array_equal(ds.features, [[1.0], [2.0], [3.0]])
+
+    def test_too_many_cells_names_row(self, tmp_path):
+        path = self.write(tmp_path, "t,a\n1,2\n0,3,4\n")
+        with pytest.raises(ValueError, match="row 3 has 3 cells, expected 2"):
+            load_csv(path, target_column="t", positive_value="1")
+
+    def test_nan_cell_names_row_column_and_text(self, tmp_path):
+        path = self.write(tmp_path, "t,a,b\n1,0.5,2\n0,3, nan\n")
+        with pytest.raises(ValueError, match=r"row 3, column 'b': cannot parse ' nan'"):
+            load_csv(path, target_column="t", positive_value="1")
+
+    def test_first_bad_cell_in_file_order_is_reported(self, tmp_path):
+        path = self.write(tmp_path, "t,a,b\n1,inf,-inf\n0,oops,3\n")
+        with pytest.raises(ValueError, match=r"row 2, column 'a': cannot parse 'inf'"):
+            load_csv(path, target_column="t", positive_value="1")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n_cols=st.integers(1, 4),
+        n_rows=st.integers(1, 6),
+        lineterminator=st.sampled_from(["\n", "\r\n", "\r"]),
+    )
+    def test_matches_per_cell_float_oracle(
+        self, tmp_path_factory, data, n_cols, n_rows, lineterminator
+    ):
+        target_idx = data.draw(st.integers(0, n_cols), label="target_idx")
+        number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+        pad = st.sampled_from(["", " ", "\t", "  "])
+        cell = st.builds(lambda p, x, q: p + x + q, pad, number, pad)
+        rows = []
+        for _ in range(n_rows):
+            row = data.draw(st.lists(cell, min_size=n_cols, max_size=n_cols))
+            row.insert(target_idx, data.draw(st.sampled_from(["1", "0", " 1", "yes"])))
+            rows.append(row)
+        header = [f"c{i}" for i in range(n_cols)]
+        header.insert(target_idx, "y")
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows(rows)
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_bytes(buf.getvalue().encode("utf-8"))
+
+        ds = load_csv(path, target_column="y", positive_value="1")
+        expected = np.array(
+            [[float(c.strip()) for i, c in enumerate(r) if i != target_idx] for r in rows]
+        )
+        assert ds.features.tobytes() == expected.tobytes()
+        assert ds.features.shape == expected.shape
+        assert ds.labels.tolist() == [1.0 if r[target_idx].strip() == "1" else -1.0 for r in rows]
+        assert ds.feature_names == tuple(f"c{i}" for i in range(n_cols))
+
+    def test_peak_memory_is_about_the_loaded_arrays(self, tmp_path):
+        rng = np.random.default_rng(0)
+        table = np.column_stack(
+            [rng.integers(0, 2, 5000), rng.standard_normal((5000, 21))]
+        )
+        path = tmp_path / "data.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t"] + [f"x{i}" for i in range(21)])
+            writer.writerows([[int(r[0])] + [repr(v) for v in r[1:]] for r in table.tolist()])
+        tracemalloc.start()
+        try:
+            ds = load_csv(path, target_column="t", positive_value="1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(ds.features, table[:, 1:])
+        assert peak <= 2 * (ds.features.nbytes + ds.labels.nbytes)
 
 
 class TestSelectFeatures:

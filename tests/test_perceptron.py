@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boostbound import (
@@ -201,6 +201,7 @@ class TestWeightedError:
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 500), m=st.integers(1, 20))
+    @example(seed=91, m=3)  # every row wrong; the masses sum to 1 + 1 ulp
     def test_always_within_unit_interval(self, seed, m):
         rng = make_rng(seed)
         X = rng.standard_normal((m, 2))
