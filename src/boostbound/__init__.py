@@ -32,6 +32,7 @@ from .data import (
     SyntheticConfig,
     generate_synthetic,
     load_csv,
+    load_csv_split,
     select_features,
     split_half,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "generate_synthetic",
     "l1_margin",
     "load_csv",
+    "load_csv_split",
     "make_rng",
     "misclassification_rate",
     "predict",

@@ -14,6 +14,7 @@ byte-for-byte. Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import os
 import sys
@@ -28,7 +29,14 @@ from .bound import (
     epsilon_boost,
     gap,
 )
-from .data import Dataset, SyntheticConfig, generate_synthetic, load_csv, split_half
+from .data import (
+    Dataset,
+    SplitPair,
+    SyntheticConfig,
+    generate_synthetic,
+    load_csv_split,
+    split_half,
+)
 from .experiments import (
     RunParams,
     RunRecord,
@@ -40,6 +48,7 @@ from .experiments import (
     emit_csv,
     emit_svg,
     load_records_csv,
+    real_split_seed,
     run_dimension_sweep,
     run_iteration_sweep,
     run_real_data,
@@ -239,18 +248,20 @@ def _write_dataset_csv(dataset: Dataset, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _load_real_dataset(cfg: dict) -> Dataset:
+def _load_real_halves(cfg: dict, seed: int) -> SplitPair:
+    """Load --data and split it with ``seed``; the target defaults to the
+    first header cell."""
     _require(cfg, "data")
     path = Path(cfg["data"])
     target = cfg.get("target_column")
     if target is None:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = next(csv.reader(fh), [])
         if not header:
             raise ValueError(f"{path}: empty header")
-        target = header.split(",")[0].strip()
+        target = header[0].strip()
     positive = cfg.get("positive_value") or "1"
-    return load_csv(path, target_column=target, positive_value=positive)
+    return load_csv_split(path, target, positive, seed)
 
 
 def _cmd_gen(cfg: dict) -> None:
@@ -280,7 +291,7 @@ def _cmd_train(cfg: dict) -> None:
     out_dir = _prepare_out(cfg)
     seed = cfg["seed"]
     if cfg.get("data"):
-        dataset = _load_real_dataset(cfg)
+        pair = _load_real_halves(cfg, derive_seed(seed, 1))
         source = SOURCE_REAL
     else:
         _require(cfg, "d", "m")
@@ -291,8 +302,8 @@ def _cmd_train(cfg: dict) -> None:
                 seed=derive_seed(seed, 0),
             )
         )
+        pair = split_half(dataset, derive_seed(seed, 1))
         source = SOURCE_SYNTHETIC
-    pair = split_half(dataset, derive_seed(seed, 1))
     config = PerceptronConfig(epochs=cfg["epochs"], seed=derive_seed(seed, 2))
     trace = train_adaboost(pair.train, cfg["t_max"], config)
     ens = trace.ensemble
@@ -385,23 +396,23 @@ def _cmd_exp(cfg: dict) -> None:
         return
 
     if mode in ("real-m", "real-d"):
-        dataset = _load_real_dataset(cfg)
+        pair = _load_real_halves(cfg, real_split_seed(cfg["seed"]))
         if mode == "real-m":
             m_max = cfg["m_max"]
             if m_max is None:
-                m_max = (dataset.n_rows + 1) // 2
+                m_max = pair.train.n_rows
             grid = list(range(cfg["m_min"], m_max + 1, cfg["m_step"]))
             result = run_real_data(
-                dataset, "m-sweep", grid, cfg["delta"], cfg["seed"],
+                pair, "m-sweep", grid, cfg["delta"], cfg["seed"],
                 n_repeats=cfg["repeats"], n_rounds=cfg["t_max"], **common,
             )
         else:
             d_max = cfg["d_max"]
             if d_max is None:
-                d_max = dataset.n_features + 1
+                d_max = pair.train.n_features + 1
             grid = list(range(cfg["d_min"], d_max + 1, cfg["d_step"]))
             result = run_real_data(
-                dataset, "d-sweep", grid, cfg["delta"], cfg["seed"],
+                pair, "d-sweep", grid, cfg["delta"], cfg["seed"],
                 n_repeats=cfg["repeats"], n_rounds=cfg["t_max"], **common,
             )
         _emit_sweep(result, out_dir, mode)

@@ -130,29 +130,41 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
     return Dataset(features=features, labels=labels)
 
 
+def _shuffle_halves(
+    features: np.ndarray,
+    labels: np.ndarray,
+    feature_names: Sequence[str] | None,
+    seed: int,
+) -> SplitPair:
+    """Permute rows by a seeded permutation in place and cut into two halves.
+
+    Takes ownership of ``features``, a writable C-contiguous matrix: its
+    rows are permuted one column at a time, so the only temporary is one
+    column, and the halves are contiguous slices of it. For odd sizes the
+    extra row goes to train.
+    """
+    m = features.shape[0]
+    if m < 2:
+        raise ValueError("split_half needs a dataset with at least 2 rows")
+    perm = make_rng(seed).permutation(m)
+    for j in range(features.shape[1]):
+        features[:, j] = features[perm, j]
+    labels = labels[perm]
+    cut = (m + 1) // 2
+    return SplitPair(
+        train=Dataset(features[:cut], labels[:cut], feature_names),
+        test=Dataset(features[cut:], labels[cut:], feature_names),
+    )
+
+
 def split_half(dataset: Dataset, seed: int) -> SplitPair:
     """Shuffle rows by a seeded permutation and cut into two halves.
 
     For odd sizes the extra row goes to train. The union of the two halves
-    is exactly the source rows for every seed.
+    is exactly the source rows for every seed; the source is not modified.
     """
-    m = dataset.n_rows
-    if m < 2:
-        raise ValueError("split_half needs a dataset with at least 2 rows")
-    perm = make_rng(seed).permutation(m)
-    cut = (m + 1) // 2
-    train_idx, test_idx = perm[:cut], perm[cut:]
-    return SplitPair(
-        train=Dataset(
-            features=dataset.features[train_idx],
-            labels=dataset.labels[train_idx],
-            feature_names=dataset.feature_names,
-        ),
-        test=Dataset(
-            features=dataset.features[test_idx],
-            labels=dataset.labels[test_idx],
-            feature_names=dataset.feature_names,
-        ),
+    return _shuffle_halves(
+        dataset.features.copy(), dataset.labels, dataset.feature_names, seed
     )
 
 
@@ -192,18 +204,10 @@ def _parse_row(
     return values
 
 
-def load_csv(path: str | Path, target_column: str, positive_value: str) -> Dataset:
-    """Read a headered CSV into a Dataset.
-
-    Target cells equal to ``positive_value`` map to +1, everything else to
-    -1. All other columns must parse as finite decimal reals and become
-    features in header order. Rows are reported 1-based counting the
-    header as row 1.
-
-    The file is read twice: once in binary to bound the row count, then
-    once through ``csv.reader`` straight into preallocated float64 arrays,
-    so only one row is ever held as Python floats.
-    """
+def _read_csv(
+    path: str | Path, target_column: str, positive_value: str
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """The still-writable ``(features, labels, feature_names)`` of :func:`load_csv`."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
@@ -238,7 +242,34 @@ def load_csv(path: str | Path, target_column: str, positive_value: str) -> Datas
 
     if k == 0:
         raise ValueError(f"{path}: no data rows after the header")
-    return Dataset(features=features[:k], labels=labels[:k], feature_names=feature_names)
+    return features[:k], labels[:k], feature_names
+
+
+def load_csv(path: str | Path, target_column: str, positive_value: str) -> Dataset:
+    """Read a headered CSV into a Dataset.
+
+    Target cells equal to ``positive_value`` map to +1, everything else to
+    -1. All other columns must parse as finite decimal reals and become
+    features in header order. Rows are reported 1-based counting the
+    header as row 1.
+
+    The file is read twice: once in binary to bound the row count, then
+    once through ``csv.reader`` straight into preallocated float64 arrays,
+    so only one row is ever held as Python floats.
+    """
+    return Dataset(*_read_csv(path, target_column, positive_value))
+
+
+def load_csv_split(
+    path: str | Path, target_column: str, positive_value: str, seed: int
+) -> SplitPair:
+    """``split_half(load_csv(path, ...), seed)``, without a second copy.
+
+    The halves are byte-identical to that call's, but the loaded matrix is
+    permuted in place and the halves are slices of it, so the data is held
+    once.
+    """
+    return _shuffle_halves(*_read_csv(path, target_column, positive_value), seed)
 
 
 def select_features(dataset: Dataset, column_indices: Sequence[int]) -> Dataset:

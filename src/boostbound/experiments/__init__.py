@@ -22,6 +22,7 @@ from .sweeps import (
     confidence_table,
     feature_importances,
     rank_features,
+    real_split_seed,
     run_dimension_sweep,
     run_iteration_sweep,
     run_real_data,
@@ -48,6 +49,7 @@ __all__ = [
     "load_records_csv",
     "polyfit",
     "rank_features",
+    "real_split_seed",
     "run_dimension_sweep",
     "run_iteration_sweep",
     "run_real_data",

@@ -34,6 +34,7 @@ from ..boosting import (
 )
 from ..data import (
     Dataset,
+    SplitPair,
     SyntheticConfig,
     generate_synthetic,
     select_features,
@@ -208,15 +209,26 @@ def _map_cells(
     initializer: Callable | None = None,
     initargs: tuple = (),
 ) -> list:
-    """Run cells in spec order; results are merged by position, never arrival."""
+    """Run cells and return their results in spec order, never arrival order.
+
+    A pool gets the cells largest first (cost m * T * epochs, ties in spec
+    order), so the longest cell does not start last and leave the other
+    workers idle (LPT scheduling, Graham 1969).
+    """
     if workers <= 1 or len(specs) <= 1:
         if initializer is not None:
             initializer(*initargs)
         return [fn(s) for s in specs]
+    order = sorted(
+        range(len(specs)), key=lambda i: -specs[i].m * specs[i].T * specs[i].epochs
+    )
+    results = [None] * len(specs)
     with ProcessPoolExecutor(
         max_workers=workers, initializer=initializer, initargs=initargs
     ) as pool:
-        return list(pool.map(fn, specs))
+        for i, result in zip(order, pool.map(fn, [specs[i] for i in order])):
+            results[i] = result
+    return results
 
 
 def _assemble(records: Sequence[RunRecord]) -> SweepResult:
@@ -397,8 +409,13 @@ def run_iteration_sweep(
     return SweepResult(records=tuple(records), confidence=None, inapplicable_count=0)
 
 
+def real_split_seed(master_seed: int) -> int:
+    """Seed of the train/test split that a real-data sweep runs on."""
+    return derive_seed(master_seed, _NS_SWEEP, 0)
+
+
 def run_real_data(
-    dataset: Dataset,
+    pair: SplitPair,
     mode: Literal["m-sweep", "d-sweep"],
     grid: Sequence[int],
     delta: float,
@@ -410,21 +427,21 @@ def run_real_data(
     epsilon_floor: float = DEFAULT_EPSILON_FLOOR,
     workers: int = 1,
 ) -> SweepResult:
-    """Bound verification on an ingested dataset.
+    """Bound verification on the train/test halves of an ingested dataset.
 
     m-sweep: full feature set; each cell trains on a fresh seeded
     subsample (without replacement) of the train half and tests on the
     test half. d-sweep: the train half is used whole; features are ordered
-    by ensemble importance and each cell keeps the top d-1 of them.
+    by ensemble importance and each cell keeps the top d-1 of them. The
+    CLI splits with ``real_split_seed(master_seed)``.
     """
     grid = [int(g) for g in grid]
     if not grid:
         raise ValueError("empty grid")
     if n_repeats < 1:
         raise ValueError("n_repeats must be at least 1")
-    pair = split_half(dataset, derive_seed(master_seed, _NS_SWEEP, 0))
     train_half, test_half = pair.train, pair.test
-    n_features = dataset.n_features
+    n_features = train_half.n_features
 
     if mode == "m-sweep":
         if min(grid) < 2:

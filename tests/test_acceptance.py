@@ -25,12 +25,14 @@ from boostbound import (
     l1_margin,
     load_csv,
     misclassification_rate,
+    split_half,
     train_adaboost,
     weighted_error,
 )
 from boostbound.boosting import BoostRound, Ensemble
 from boostbound.cli import dispatch
 from boostbound.experiments import (
+    real_split_seed,
     run_dimension_sweep,
     run_iteration_sweep,
     run_real_data,
@@ -385,7 +387,8 @@ def test_c11_real_data_m_sweep():
     grid = list(range(50, 10_001, 250))
     grid = [m for m in grid if m <= (dataset.n_rows + 1) // 2]
     result = run_real_data(
-        dataset, "m-sweep", grid, 0.05, MASTER_SEED, workers=WORKERS
+        split_half(dataset, real_split_seed(MASTER_SEED)), "m-sweep", grid, 0.05,
+        MASTER_SEED, workers=WORKERS,
     )
     conf = result.confidence
     report(

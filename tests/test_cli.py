@@ -110,6 +110,18 @@ class TestTrainCommand:
         assert records[0].params.source == "real"
         assert records[0].params.m == 30  # half of 60
 
+    def test_real_data_quoted_target_header(self, tmp_path, capsys):
+        # the default target is the first header cell as the CSV reader reads it
+        path = tmp_path / "quoted.csv"
+        rows = [f"{i % 2},{i / 10}" for i in range(8)]
+        path.write_text("\n".join(['"label",x1'] + rows) + "\n", encoding="utf-8")
+        out = tmp_path / "t"
+        code = run([
+            "train", "--data", path, "--t-max", "2", "--epochs", "2", "--out", out,
+        ])
+        assert code == 0, capsys.readouterr().err
+        assert load_records_csv(out / "report.csv").records[0].params.m == 4
+
 
 class TestExpCommand:
     def test_m_sweep_writes_artifacts(self, tmp_path, capsys):

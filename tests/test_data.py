@@ -15,9 +15,11 @@ from boostbound import (
     SyntheticConfig,
     generate_synthetic,
     load_csv,
+    load_csv_split,
     select_features,
     split_half,
 )
+from boostbound.rng import make_rng
 
 
 def small_dataset(m=6, n=3, seed=0):
@@ -25,6 +27,19 @@ def small_dataset(m=6, n=3, seed=0):
     features = rng.standard_normal((m, n))
     labels = np.where(rng.standard_normal(m) >= 0, 1.0, -1.0)
     return Dataset(features=features, labels=labels)
+
+
+def write_random_csv(path, rows, n_cols=21):
+    """A CSV of a 0/1 target ``t`` and standard-normal features; returns the table."""
+    rng = np.random.default_rng(0)
+    table = np.column_stack(
+        [rng.integers(0, 2, rows), rng.standard_normal((rows, n_cols))]
+    )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"x{i}" for i in range(n_cols)])
+        writer.writerows([[int(r[0])] + [repr(v) for v in r[1:]] for r in table.tolist()])
+    return table
 
 
 class TestDatasetInvariants:
@@ -150,6 +165,20 @@ class TestSplitHalf:
     def test_rejects_tiny_dataset(self):
         with pytest.raises(ValueError, match="at least 2"):
             split_half(small_dataset(m=1), seed=0)
+
+    def test_gathers_rows_and_leaves_source_alone(self):
+        ds = small_dataset(m=11)
+        before = (ds.features.tobytes(), ds.labels.tobytes())
+        pair = split_half(ds, seed=2)
+        assert (ds.features.tobytes(), ds.labels.tobytes()) == before
+        perm = make_rng(2).permutation(11)
+        for half, rows in ((pair.train, perm[:6]), (pair.test, perm[6:])):
+            assert half.features.tobytes() == ds.features[rows].tobytes()
+            assert half.labels.tobytes() == ds.labels[rows].tobytes()
+            with pytest.raises(ValueError):
+                half.features[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                half.labels[0] = 1.0
 
     @settings(max_examples=30, deadline=None)
     @given(m=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
@@ -296,15 +325,8 @@ class TestLoadCsv:
         assert ds.feature_names == tuple(f"c{i}" for i in range(n_cols))
 
     def test_peak_memory_is_about_the_loaded_arrays(self, tmp_path):
-        rng = np.random.default_rng(0)
-        table = np.column_stack(
-            [rng.integers(0, 2, 5000), rng.standard_normal((5000, 21))]
-        )
         path = tmp_path / "data.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"x{i}" for i in range(21)])
-            writer.writerows([[int(r[0])] + [repr(v) for v in r[1:]] for r in table.tolist()])
+        table = write_random_csv(path, 5000)
         tracemalloc.start()
         try:
             ds = load_csv(path, target_column="t", positive_value="1")
@@ -313,6 +335,56 @@ class TestLoadCsv:
             tracemalloc.stop()
         np.testing.assert_array_equal(ds.features, table[:, 1:])
         assert peak <= 2 * (ds.features.nbytes + ds.labels.nbytes)
+
+
+def csv_text(n_rows, newline="\n", blank_at=None):
+    lines = ["t,a,b"] + [f"{i % 3 == 0:d},{i / 4},{-i}" for i in range(n_rows)]
+    if blank_at is not None:
+        lines.insert(blank_at, "")
+    return newline.join(lines) + newline
+
+
+class TestLoadCsvSplit:
+    @pytest.mark.parametrize(
+        "text",
+        [csv_text(10), csv_text(11), csv_text(11, blank_at=5), csv_text(10, "\r\n")[:-2]],
+        ids=["even", "odd", "blank-line", "crlf"],
+    )
+    def test_equals_split_half_of_load_csv(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        want = split_half(load_csv(path, target_column="t", positive_value="1"), seed=3)
+        got = load_csv_split(path, "t", "1", seed=3)
+        for g, w in ((got.train, want.train), (got.test, want.test)):
+            assert g.features.shape == w.features.shape
+            assert g.features.tobytes() == w.features.tobytes()
+            assert g.labels.tobytes() == w.labels.tobytes()
+            assert g.feature_names == w.feature_names == ("a", "b")
+            with pytest.raises(ValueError):
+                g.features[0, 0] = 1.0
+
+    def test_bad_cell_message_matches_load_csv(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("t,a\n1,0.5\n0,oops\n", encoding="utf-8")
+        with pytest.raises(ValueError) as via_load:
+            load_csv(path, target_column="t", positive_value="1")
+        with pytest.raises(ValueError) as via_split:
+            load_csv_split(path, "t", "1", seed=0)
+        assert str(via_split.value) == str(via_load.value)
+        assert "row 3" in str(via_split.value)
+
+    def test_peak_memory_is_about_the_halves(self, tmp_path):
+        path = tmp_path / "data.csv"
+        table = write_random_csv(path, 5001)
+        tracemalloc.start()
+        try:
+            pair = load_csv_split(path, "t", "1", seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        halves = (pair.train, pair.test)
+        assert sum(h.n_rows for h in halves) == table.shape[0]
+        assert peak <= 1.5 * sum(h.features.nbytes + h.labels.nbytes for h in halves)
 
 
 class TestSelectFeatures:

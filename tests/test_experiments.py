@@ -16,6 +16,7 @@ from boostbound import (
     compute_z,
     epsilon_boost,
     generate_synthetic,
+    split_half,
     SyntheticConfig,
 )
 from boostbound.boosting import BoostRound
@@ -33,6 +34,7 @@ from boostbound.experiments import (
     load_records_csv,
     polyfit,
     rank_features,
+    real_split_seed,
     run_dimension_sweep,
     run_iteration_sweep,
     run_real_data,
@@ -83,7 +85,11 @@ class TestSampleSizeSweep:
         a = tiny_m_sweep()
         b = tiny_m_sweep()
         c = tiny_m_sweep(workers=2)
-        for x, y in ((a, b), (a, c)):
+        # two repeats per m: the pool runs equal-cost cells as well
+        d = tiny_m_sweep(n_repeats=2)
+        e = tiny_m_sweep(n_repeats=2, workers=2)
+        assert [r.params.m for r in e.records] == [10, 10, 20, 20, 30, 30]
+        for x, y in ((a, b), (a, c), (d, e)):
             assert len(x.records) == len(y.records)
             for rx, ry in zip(x.records, y.records):
                 assert rx.params == ry.params
@@ -193,6 +199,11 @@ class TestIterationSweep:
             assert rec.gap_report.test_error == test_curve[t]
 
 
+def halves(ds, master_seed=42):
+    """The train/test halves a real-data sweep with this seed runs on."""
+    return split_half(ds, real_split_seed(master_seed))
+
+
 class TestRealData:
     def real_dataset(self, m=120, n=4, seed=13):
         ds = generate_synthetic(
@@ -206,7 +217,7 @@ class TestRealData:
 
     def test_m_sweep_counts_and_sizes(self):
         ds = self.real_dataset()
-        result = run_real_data(ds, "m-sweep", [20, 40], 0.05, 42, workers=1, **FAST)
+        result = run_real_data(halves(ds), "m-sweep", [20, 40], 0.05, 42, workers=1, **FAST)
         assert len(result.records) == 2
         assert [r.params.m for r in result.records] == [20, 40]
         for rec in result.records:
@@ -217,19 +228,19 @@ class TestRealData:
 
     def test_m_sweep_deterministic_across_workers(self):
         ds = self.real_dataset()
-        a = run_real_data(ds, "m-sweep", [20, 40], 0.05, 42, workers=1, **FAST)
-        b = run_real_data(ds, "m-sweep", [20, 40], 0.05, 42, workers=2, **FAST)
+        a = run_real_data(halves(ds), "m-sweep", [20, 40], 0.05, 42, workers=1, **FAST)
+        b = run_real_data(halves(ds), "m-sweep", [20, 40], 0.05, 42, workers=2, **FAST)
         for ra, rb in zip(a.records, b.records):
             assert ra.gap_report == rb.gap_report
 
     def test_m_sweep_grid_capacity(self):
         ds = self.real_dataset(m=40)
         with pytest.raises(ValueError, match="exceeds the train half"):
-            run_real_data(ds, "m-sweep", [50], 0.05, 42, **FAST)
+            run_real_data(halves(ds), "m-sweep", [50], 0.05, 42, **FAST)
 
     def test_d_sweep_uses_top_features(self):
         ds = self.real_dataset()
-        result = run_real_data(ds, "d-sweep", [2, 5], 0.05, 42, workers=1, **FAST)
+        result = run_real_data(halves(ds), "d-sweep", [2, 5], 0.05, 42, workers=1, **FAST)
         assert [r.params.d for r in result.records] == [2, 5]
         # every cell trains on the whole train half
         assert all(r.params.m == 60 for r in result.records)
@@ -237,18 +248,18 @@ class TestRealData:
     def test_d_sweep_full_prefix_is_identity(self):
         # d-1 == n_features keeps the entire (reordered) feature set.
         ds = self.real_dataset()
-        full = run_real_data(ds, "d-sweep", [5], 0.05, 42, workers=1, **FAST)
+        full = run_real_data(halves(ds), "d-sweep", [5], 0.05, 42, workers=1, **FAST)
         assert full.records[0].params.d == 5
         assert full.records[0].applicable
 
     def test_d_sweep_rejects_too_many_features(self):
         ds = self.real_dataset(n=3)
         with pytest.raises(ValueError, match="features"):
-            run_real_data(ds, "d-sweep", [6], 0.05, 42, **FAST)
+            run_real_data(halves(ds), "d-sweep", [6], 0.05, 42, **FAST)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
-            run_real_data(self.real_dataset(), "x-sweep", [2], 0.05, 42, **FAST)
+            run_real_data(halves(self.real_dataset()), "x-sweep", [2], 0.05, 42, **FAST)
 
 
 class TestRankFeatures:
