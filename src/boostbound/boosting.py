@@ -186,10 +186,7 @@ def ensemble_predict(ens: Ensemble, x: np.ndarray) -> int:
 
 def misclassification_rate(ens: Ensemble, data: Dataset) -> float:
     """Fraction of rows where the ensemble vote disagrees with the label."""
-    if data.n_rows < 1:
-        raise ValueError("dataset is empty")
-    preds = np.where(ensemble_scores(ens, data.features) >= 0.0, 1.0, -1.0)
-    return float(np.count_nonzero(preds != data.labels)) / data.n_rows
+    return error_and_margin(ens, data)[0]
 
 
 def l1_margin(ens: Ensemble, data: Dataset) -> float | None:
@@ -199,13 +196,19 @@ def l1_margin(ens: Ensemble, data: Dataset) -> float | None:
     all alphas are zero (the margin is undefined; the bound treats it as
     an infinite ceiling).
     """
+    return error_and_margin(ens, data)[1]
+
+
+def error_and_margin(ens: Ensemble, data: Dataset) -> tuple[float, float | None]:
+    """``(misclassification_rate, l1_margin)`` on ``data`` from one scoring pass."""
     if data.n_rows < 1:
         raise ValueError("dataset is empty")
-    total = ens.alpha_total
-    if total == 0.0:
-        return None
     scores = ensemble_scores(ens, data.features)
-    return float(np.min(np.abs(scores))) / total
+    preds = np.where(scores >= 0.0, 1.0, -1.0)
+    error = float(np.count_nonzero(preds != data.labels)) / data.n_rows
+    total = ens.alpha_total
+    rho = None if total == 0.0 else float(np.min(np.abs(scores))) / total
+    return error, rho
 
 
 def staged_misclassification_rates(trace: TrainTrace, data: Dataset) -> np.ndarray:

@@ -54,7 +54,7 @@ from .experiments import (
     run_real_data,
     run_sample_size_sweep,
 )
-from .boosting import l1_margin, misclassification_rate, train_adaboost
+from .boosting import error_and_margin, misclassification_rate, train_adaboost
 from .perceptron import PerceptronConfig
 from .rng import derive_seed
 
@@ -307,9 +307,8 @@ def _cmd_train(cfg: dict) -> None:
     config = PerceptronConfig(epochs=cfg["epochs"], seed=derive_seed(seed, 2))
     trace = train_adaboost(pair.train, cfg["t_max"], config)
     ens = trace.ensemble
-    train_error = misclassification_rate(ens, pair.train)
+    train_error, rho = error_and_margin(ens, pair.train)
     test_error = misclassification_rate(ens, pair.test)
-    rho = l1_margin(ens, pair.train)
     d = pair.train.n_features + 1
     m = pair.train.n_rows
     try:

@@ -12,12 +12,16 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .rng import make_rng
+
+# Rows of CSV cells converted to floats at a time by the loader.
+_CHUNK_ROWS = 128
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -186,10 +190,9 @@ def _count_line_breaks(path: Path) -> int:
 
 def _parse_row(
     path: Path, line_no: int, names: Sequence[str], cells: Sequence[str]
-) -> list[float]:
-    """Parse one row's feature cells, raising at the first one that is not
-    a finite real, with its row, column and text."""
-    values = []
+) -> None:
+    """Raise at the row's first feature cell that is not a finite real,
+    naming its row, column and text."""
     for name, cell in zip(names, cells):
         try:
             value = float(cell.strip())
@@ -200,8 +203,36 @@ def _parse_row(
                 f"{path}: row {line_no}, column {name!r}: "
                 f"cannot parse {cell!r} as a finite real"
             )
-        values.append(value)
-    return values
+
+
+def _parse_rows(
+    path: Path,
+    names: Sequence[str],
+    line_nos: Sequence[int],
+    rows: Sequence[Sequence[str]],
+    out: np.ndarray,
+) -> None:
+    """Parse a chunk of rows' feature cells into ``out``, one row per row.
+
+    Every cell becomes ``float(cell.strip())`` in a single conversion over
+    the chunk. Only a chunk that fails is walked row by row, so the error
+    names the first bad cell in file order.
+    """
+    cells = map(str.strip, chain.from_iterable(rows))
+    try:
+        values = np.fromiter(map(float, cells), np.float64, out.size)
+    except ValueError:
+        pass
+    else:
+        if np.isfinite(values).all():
+            out[...] = values.reshape(out.shape)
+            return
+    for line_no, row in zip(line_nos, rows):
+        _parse_row(path, line_no, names, row)
+    raise RuntimeError(
+        f"{path}: rows {line_nos[0]}-{line_nos[-1]} failed to convert, "
+        "but no bad cell was found in them"
+    )
 
 
 def _read_csv(
@@ -228,17 +259,30 @@ def _read_csv(
         features = np.empty((max_rows, len(feature_names)))
         labels = np.empty(max_rows)
         k = 0
+        line_nos: list[int] = []
+        rows: list[list[str]] = []
+
+        def flush() -> None:
+            _parse_rows(path, feature_names, line_nos, rows, features[k - len(rows) : k])
+            line_nos.clear()
+            rows.clear()
+
         for line_no, cells in enumerate(reader, start=2):
             if not cells or (len(cells) == 1 and cells[0].strip() == ""):
                 continue
             if len(cells) != len(header):
+                flush()  # an earlier bad cell is reported first
                 raise ValueError(
                     f"{path}: row {line_no} has {len(cells)} cells, expected {len(header)}"
                 )
             target = cells.pop(target_idx)
-            features[k] = _parse_row(path, line_no, feature_names, cells)
             labels[k] = 1.0 if target.strip() == positive_value else -1.0
+            line_nos.append(line_no)
+            rows.append(cells)
             k += 1
+            if len(rows) == _CHUNK_ROWS:
+                flush()
+        flush()
 
     if k == 0:
         raise ValueError(f"{path}: no data rows after the header")
@@ -254,8 +298,9 @@ def load_csv(path: str | Path, target_column: str, positive_value: str) -> Datas
     header as row 1.
 
     The file is read twice: once in binary to bound the row count, then
-    once through ``csv.reader`` straight into preallocated float64 arrays,
-    so only one row is ever held as Python floats.
+    once through ``csv.reader`` into preallocated float64 arrays. Cells
+    are converted a chunk of at most ``_CHUNK_ROWS`` rows at a time, so
+    only that chunk's cell strings are held beside the arrays.
     """
     return Dataset(*_read_csv(path, target_column, positive_value))
 

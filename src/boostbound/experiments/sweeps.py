@@ -27,7 +27,7 @@ import numpy as np
 from ..bound import BoundInapplicableError, GapReport, check_bound, gap
 from ..boosting import (
     TrainTrace,
-    l1_margin,
+    error_and_margin,
     misclassification_rate,
     staged_misclassification_rates,
     train_adaboost,
@@ -129,9 +129,8 @@ def _run_synthetic_cell(spec: CellSpec) -> RunRecord:
         )
         pair = split_half(data, derive_seed(spec.seed, 1))
         trace = _train_on(spec, pair.train)
-        train_error = misclassification_rate(trace.ensemble, pair.train)
+        train_error, rho = error_and_margin(trace.ensemble, pair.train)
         test_error = misclassification_rate(trace.ensemble, pair.test)
-        rho = l1_margin(trace.ensemble, pair.train)
     except Exception as exc:
         raise _cell_error(spec, exc) from exc
     return _verdict_record(spec, train_error, test_error, rho, _elapsed_ms(t0))
@@ -178,9 +177,8 @@ def _run_real_m_cell(spec: CellSpec) -> RunRecord:
             feature_names=train_half.feature_names,
         )
         trace = _train_on(spec, subsample)
-        train_error = misclassification_rate(trace.ensemble, subsample)
+        train_error, rho = error_and_margin(trace.ensemble, subsample)
         test_error = misclassification_rate(trace.ensemble, test_half)
-        rho = l1_margin(trace.ensemble, subsample)
     except Exception as exc:
         raise _cell_error(spec, exc) from exc
     return _verdict_record(spec, train_error, test_error, rho, _elapsed_ms(t0))
@@ -194,9 +192,8 @@ def _run_real_d_cell(spec: CellSpec) -> RunRecord:
         train = select_features(train_half, keep)
         test = select_features(test_half, keep)
         trace = _train_on(spec, train)
-        train_error = misclassification_rate(trace.ensemble, train)
+        train_error, rho = error_and_margin(trace.ensemble, train)
         test_error = misclassification_rate(trace.ensemble, test)
-        rho = l1_margin(trace.ensemble, train)
     except Exception as exc:
         raise _cell_error(spec, exc) from exc
     return _verdict_record(spec, train_error, test_error, rho, _elapsed_ms(t0))

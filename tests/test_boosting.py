@@ -27,6 +27,7 @@ from boostbound import (
     update_distribution,
     weighted_error,
 )
+from boostbound.boosting import error_and_margin
 from boostbound.rng import make_rng
 
 # High-precision anchors (mpmath, 50 digits, rounded to double).
@@ -362,6 +363,18 @@ class TestL1Margin:
             rho = l1_margin(trace.ensemble, ds)
             if rho is not None:
                 assert 0.0 <= rho <= 1.0
+
+    def test_error_and_margin_equals_the_separate_calls(self):
+        for seed in range(10):
+            ds = noisy_dataset(seed + 90, m=9, n=2)
+            ens = train_adaboost(ds, 4, PerceptronConfig(epochs=2, seed=seed)).ensemble
+            assert error_and_margin(ens, ds) == (
+                misclassification_rate(ens, ds),
+                l1_margin(ens, ds),
+            )
+        ds = Dataset(features=np.array([[1.0]]), labels=np.array([-1.0]))
+        ens = Ensemble((make_round([1.0], 0.0, epsilon=0.5),))
+        assert error_and_margin(ens, ds) == (1.0, None)
 
 
 class TestScaleInvariance:

@@ -19,6 +19,7 @@ from boostbound import (
     select_features,
     split_half,
 )
+from boostbound.data import _CHUNK_ROWS
 from boostbound.rng import make_rng
 
 
@@ -287,15 +288,46 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=r"row 2, column 'a': cannot parse 'inf'"):
             load_csv(path, target_column="t", positive_value="1")
 
+    @pytest.mark.parametrize("cell", ["oops", "inf"])
+    @pytest.mark.parametrize("row", [_CHUNK_ROWS - 1, _CHUNK_ROWS], ids=["last", "next-first"])
+    def test_bad_cell_at_a_chunk_boundary_names_its_row(self, tmp_path, row, cell):
+        lines = csv_text(2 * _CHUNK_ROWS + 3).splitlines()
+        lines[row + 1] = f"0,{cell},1"  # data row `row` is file row row + 2
+        path = self.write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"row {row + 2}, column 'a': cannot parse '{cell}'"):
+            load_csv(path, target_column="t", positive_value="1")
+
+    def test_bad_cell_before_a_ragged_row_in_its_chunk_wins(self, tmp_path):
+        lines = csv_text(2 * _CHUNK_ROWS + 3).splitlines()
+        lines[_CHUNK_ROWS + 10] = "0,oops,1"
+        lines[_CHUNK_ROWS + 20] = "0,1"
+        path = self.write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"row {_CHUNK_ROWS + 11}, column 'a'"):
+            load_csv(path, target_column="t", positive_value="1")
+
+    def test_blank_lines_across_a_chunk_boundary_keep_row_numbers(self, tmp_path):
+        text = csv_text(2 * _CHUNK_ROWS + 3)
+        want = load_csv(self.write(tmp_path, text, "plain.csv"), "t", "1")
+        lines = text.splitlines()
+        lines[_CHUNK_ROWS : _CHUNK_ROWS] = ["", " ", ""]
+        ds = load_csv(self.write(tmp_path, "\n".join(lines) + "\n"), "t", "1")
+        assert ds.features.tobytes() == want.features.tobytes()
+        assert ds.labels.tobytes() == want.labels.tobytes()
+        lines[-1] = "0,1,oops"
+        path = self.write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"row {len(lines)}, column 'b'"):
+            load_csv(path, target_column="t", positive_value="1")
+
     @settings(max_examples=60, deadline=None)
     @given(
         data=st.data(),
         n_cols=st.integers(1, 4),
         n_rows=st.integers(1, 6),
+        copies=st.sampled_from([1, _CHUNK_ROWS // 2 + 1]),
         lineterminator=st.sampled_from(["\n", "\r\n", "\r"]),
     )
     def test_matches_per_cell_float_oracle(
-        self, tmp_path_factory, data, n_cols, n_rows, lineterminator
+        self, tmp_path_factory, data, n_cols, n_rows, copies, lineterminator
     ):
         target_idx = data.draw(st.integers(0, n_cols), label="target_idx")
         number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
@@ -306,6 +338,7 @@ class TestLoadCsv:
             row = data.draw(st.lists(cell, min_size=n_cols, max_size=n_cols))
             row.insert(target_idx, data.draw(st.sampled_from(["1", "0", " 1", "yes"])))
             rows.append(row)
+        rows *= copies  # up to 6 * 65 rows: files that span several chunks
         header = [f"c{i}" for i in range(n_cols)]
         header.insert(target_idx, "y")
         buf = io.StringIO(newline="")
