@@ -5,7 +5,12 @@ Each case runs one ``boostbound`` command and compares every file it wrote
 (with the output directory replaced by ``<out>``) with the files under
 ``tests/golden/<case>/``. ``exp`` cases run at one and at two workers
 against the same files. ``heart.csv`` is a 600-row heart-disease-shaped
-CSV that the real-data cases load.
+CSV that the real-data cases load, written by ``bench/workloads.py``
+``write_heart_csv`` (seed 10) with ``POSITIVE_RATE`` set to 0.5. With half
+the labels positive the ensembles do not all predict one class, so delta_r
+varies across each real-data sweep and its fitted line is not rounding
+noise that the SVG's y-range would stretch into a different plot for each
+BLAS kernel.
 
 ``python tests/test_golden.py`` rewrites the goldens from the current code.
 Do that only in a change that means to alter output bytes, and say so in
