@@ -71,12 +71,15 @@ def epsilon_boost(inp: BoundInput) -> float:
     # ln(e*m/d) written as 1 + ln(m/d): exact at m == d, one fewer rounding.
     radicand = 2.0 * inp.d * (1.0 + math.log(inp.m / inp.d)) / inp.m
     if radicand < 0.0:
-        raise BoundInapplicableError(
-            f"d={inp.d} exceeds e*m={math.e * inp.m:.6g}; the bound does not apply"
-        )
+        raise BoundInapplicableError(inapplicable_reason(inp.d, inp.m))
     first = (2.0 / inp.rho) * math.sqrt(radicand)
     second = math.sqrt(-math.log(inp.delta) / (2.0 * inp.m))
     return first + second
+
+
+def inapplicable_reason(d: int, m: int) -> str:
+    """Why the bound has no value at (d, m): the message of BoundInapplicableError."""
+    return f"d={d} exceeds e*m={math.e * m:.6g}; the bound does not apply"
 
 
 def gap(train_error: float, test_error: float) -> float:
@@ -105,6 +108,18 @@ def check_bound(
         rho=rho,
         epsilon_boost=ceiling,
         holds=delta_r <= ceiling,
+    )
+
+
+def no_verdict(train_error: float, test_error: float, rho: float | None) -> GapReport:
+    """A report without a bound verdict: NaN ceiling, ``holds`` false by convention."""
+    return GapReport(
+        train_error=train_error,
+        test_error=test_error,
+        delta_r=gap(train_error, test_error),
+        rho=rho,
+        epsilon_boost=math.nan,
+        holds=False,
     )
 
 

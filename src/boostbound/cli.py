@@ -21,27 +21,9 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .bound import (
-    BoundInapplicableError,
-    BoundInput,
-    GapReport,
-    check_bound,
-    epsilon_boost,
-    gap,
-)
-from .data import (
-    Dataset,
-    SplitPair,
-    SyntheticConfig,
-    generate_synthetic,
-    load_csv_split,
-    split_half,
-)
+from .bound import BoundInput, epsilon_boost, inapplicable_reason
+from .data import Dataset, SplitPair, SyntheticConfig, generate_synthetic, load_csv_split
 from .experiments import (
-    RunParams,
-    RunRecord,
-    SOURCE_REAL,
-    SOURCE_SYNTHETIC,
     SweepResult,
     confidence_table,
     default_figure,
@@ -53,9 +35,9 @@ from .experiments import (
     run_iteration_sweep,
     run_real_data,
     run_sample_size_sweep,
+    run_train_cell,
+    sweep_grid,
 )
-from .boosting import error_and_margin, misclassification_rate, train_adaboost
-from .perceptron import PerceptronConfig
 from .rng import derive_seed
 
 EXP_MODES = ("t-sweep", "m-sweep", "d-sweep", "real-m", "real-d", "confidence")
@@ -289,59 +271,25 @@ def _cmd_bound(cfg: dict) -> None:
 
 def _cmd_train(cfg: dict) -> None:
     out_dir = _prepare_out(cfg)
-    seed = cfg["seed"]
+    pair = None
     if cfg.get("data"):
-        pair = _load_real_halves(cfg, derive_seed(seed, 1))
-        source = SOURCE_REAL
+        pair = _load_real_halves(cfg, derive_seed(cfg["seed"], 1))
+        d, m = pair.train.n_features + 1, pair.train.n_rows
     else:
         _require(cfg, "d", "m")
-        dataset = generate_synthetic(
-            SyntheticConfig(
-                n_features=cfg["d"] - 1,
-                m_total=2 * cfg["m"],
-                seed=derive_seed(seed, 0),
-            )
-        )
-        pair = split_half(dataset, derive_seed(seed, 1))
-        source = SOURCE_SYNTHETIC
-    config = PerceptronConfig(epochs=cfg["epochs"], seed=derive_seed(seed, 2))
-    trace = train_adaboost(pair.train, cfg["t_max"], config)
-    ens = trace.ensemble
-    train_error, rho = error_and_margin(ens, pair.train)
-    test_error = misclassification_rate(ens, pair.test)
-    d = pair.train.n_features + 1
-    m = pair.train.n_rows
-    try:
-        report = check_bound(train_error, test_error, rho, d, m, cfg["delta"])
-        applicable = True
-    except BoundInapplicableError as exc:
-        report = GapReport(
-            train_error=train_error,
-            test_error=test_error,
-            delta_r=gap(train_error, test_error),
-            rho=rho,
-            epsilon_boost=math.nan,
-            holds=False,
-        )
-        applicable = False
-        print(f"note: {exc}")
-    record = RunRecord(
-        experiment_id="train",
-        params=RunParams(
-            T=cfg["t_max"], m=m, d=d, delta=cfg["delta"], seed=seed, source=source
-        ),
-        gap_report=report,
-        wall_time_ms=0,
-        applicable=applicable,
+        d, m = cfg["d"], cfg["m"]
+    record = run_train_cell(
+        d, m, cfg["t_max"], cfg["epochs"], cfg["delta"], cfg["seed"], pair
     )
-    emit_csv(
-        SweepResult(records=(record,), confidence=None, inapplicable_count=0),
-        out_dir / "report.csv",
-    )
+    report = record.gap_report
+    if not record.applicable:
+        print(f"note: {inapplicable_reason(d, m)}")
+    emit_csv(SweepResult.of([record]), out_dir / "report.csv")
     print(f"rounds = {cfg['t_max']}  train_rows = {m}  d = {d}")
-    print(f"train_error = {train_error:.6f}")
-    print(f"test_error = {test_error:.6f}")
+    print(f"train_error = {report.train_error:.6f}")
+    print(f"test_error = {report.test_error:.6f}")
     print(f"delta_r = {report.delta_r:.6f}")
+    rho = report.rho
     print(f"rho = {'undefined' if rho is None else format(rho, '.6g')}")
     eps = report.epsilon_boost
     print(f"epsilon_boost = {'+inf' if math.isinf(eps) else format(eps, '.6g')}")
@@ -363,79 +311,54 @@ def _emit_sweep(result: SweepResult, out_dir: Path, stem: str) -> None:
         print(f"inapplicable cells = {result.inapplicable_count}")
 
 
+def _synthetic_sweep(cfg: dict, axis: str, fixed: int, common: dict) -> SweepResult:
+    """An m-sweep (axis "m") at d = fixed, or a d-sweep at m = fixed."""
+    run = run_sample_size_sweep if axis == "m" else run_dimension_sweep
+    return run(
+        fixed, cfg[f"{axis}_min"], cfg[f"{axis}_max"], cfg[f"{axis}_step"],
+        cfg["delta"], cfg["seed"], **common,
+    )
+
+
 def _cmd_exp(cfg: dict) -> None:
     mode = cfg["mode"]
     out_dir = _prepare_out(cfg)
-    workers = cfg["workers"] or 1
-    common = dict(epochs=cfg["epochs"], workers=workers)
-
+    common = dict(epochs=cfg["epochs"], workers=cfg["workers"] or 1)
     if mode == "t-sweep":
         result = run_iteration_sweep(
             cfg["d"], cfg["m"], cfg["t_max"], cfg["repeats"], cfg["seed"], **common
         )
-        _emit_sweep(result, out_dir, "t-sweep")
-        return
-
-    if mode == "m-sweep":
-        result = run_sample_size_sweep(
-            cfg["d"], cfg["m_min"], cfg["m_max"], cfg["m_step"],
-            cfg["delta"], cfg["seed"],
-            n_repeats=cfg["repeats"], n_rounds=cfg["t_max"], **common,
-        )
-        _emit_sweep(result, out_dir, "m-sweep")
-        return
-
-    if mode == "d-sweep":
-        result = run_dimension_sweep(
-            cfg["m"], cfg["d_min"], cfg["d_max"], cfg["d_step"],
-            cfg["delta"], cfg["seed"],
-            n_repeats=cfg["repeats"], n_rounds=cfg["t_max"], **common,
-        )
-        _emit_sweep(result, out_dir, "d-sweep")
-        return
-
-    if mode in ("real-m", "real-d"):
-        pair = _load_real_halves(cfg, real_split_seed(cfg["seed"]))
-        if mode == "real-m":
-            m_max = cfg["m_max"]
-            if m_max is None:
-                m_max = pair.train.n_rows
-            grid = list(range(cfg["m_min"], m_max + 1, cfg["m_step"]))
-            result = run_real_data(
-                pair, "m-sweep", grid, cfg["delta"], cfg["seed"],
-                n_repeats=cfg["repeats"], n_rounds=cfg["t_max"], **common,
-            )
-        else:
-            d_max = cfg["d_max"]
-            if d_max is None:
-                d_max = pair.train.n_features + 1
-            grid = list(range(cfg["d_min"], d_max + 1, cfg["d_step"]))
-            result = run_real_data(
-                pair, "d-sweep", grid, cfg["delta"], cfg["seed"],
-                n_repeats=cfg["repeats"], n_rounds=cfg["t_max"], **common,
-            )
         _emit_sweep(result, out_dir, mode)
         return
 
-    if mode == "confidence":
-        sweeps: list[SweepResult] = []
-        for d in (25, 50, 75, 100):
-            result = run_sample_size_sweep(
-                d, cfg["m_min"], cfg["m_max"], cfg["m_step"],
-                cfg["delta"], cfg["seed"],
-                n_repeats=cfg["repeats"], n_rounds=cfg["t_max"], **common,
-            )
-            _emit_sweep(result, out_dir, f"m-sweep-d{d}")
-            sweeps.append(result)
-        for m in (500, 1000, 1500, 2000):
-            result = run_dimension_sweep(
-                m, cfg["d_min"], cfg["d_max"], cfg["d_step"],
-                cfg["delta"], cfg["seed"],
-                n_repeats=cfg["repeats"], n_rounds=cfg["t_max"], **common,
-            )
-            _emit_sweep(result, out_dir, f"d-sweep-m{m}")
-            sweeps.append(result)
-        rows = confidence_table(sweeps)
+    common.update(n_repeats=cfg["repeats"], n_rounds=cfg["t_max"])
+    if mode in ("real-m", "real-d"):
+        pair = _load_real_halves(cfg, real_split_seed(cfg["seed"]))
+        axis = mode[-1]
+        top = cfg[f"{axis}_max"]
+        if top is None:  # the whole train half, or every feature
+            top = pair.train.n_rows if axis == "m" else pair.train.n_features + 1
+        grid = sweep_grid(axis, cfg[f"{axis}_min"], top, cfg[f"{axis}_step"])
+        result = run_real_data(
+            pair, f"{axis}-sweep", grid, cfg["delta"], cfg["seed"], **common
+        )
+        _emit_sweep(result, out_dir, mode)
+        return
+
+    if mode in ("m-sweep", "d-sweep"):
+        fixed = cfg["d"] if mode == "m-sweep" else cfg["m"]
+        _emit_sweep(_synthetic_sweep(cfg, mode[0], fixed, common), out_dir, mode)
+        return
+
+    if mode == "confidence":  # four m-sweeps at fixed d, four d-sweeps at fixed m
+        results = []
+        for axis, fixed in [("m", d) for d in (25, 50, 75, 100)] + [
+            ("d", m) for m in (500, 1000, 1500, 2000)
+        ]:
+            result = _synthetic_sweep(cfg, axis, fixed, common)
+            _emit_sweep(result, out_dir, result.records[0].experiment_id)
+            results.append(result)
+        rows = confidence_table(results)
         table_path = out_dir / "confidence.csv"
         table_path.write_text(
             "\n".join(["label,confidence"] + [f"{l},{c}" for l, c in rows]) + "\n",

@@ -110,19 +110,7 @@ def load_records_csv(path: str | Path) -> SweepResult:
                 applicable=cells[13] == "true",
             )
         )
-    applicable = [r for r in records if r.applicable]
-    conf = (
-        sum(1 for r in applicable if r.gap_report.holds) / len(applicable)
-        if applicable
-        else None
-    )
-    return SweepResult(
-        records=tuple(records),
-        confidence=conf,
-        inapplicable_count=sum(
-            1 for r in records if not r.applicable and r.gap_report.rho is not None
-        ),
-    )
+    return SweepResult.of(records)
 
 
 def x_axis_name(experiment_id: str) -> str:

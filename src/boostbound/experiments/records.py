@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from ..bound import GapReport
+from ..bound import GapReport, confidence
 
 SOURCE_SYNTHETIC = "synthetic"
 SOURCE_REAL = "real"
@@ -59,6 +60,27 @@ class SweepResult:
     records: tuple[RunRecord, ...]
     confidence: float | None
     inapplicable_count: int
+
+    @classmethod
+    def of(cls, records: Sequence[RunRecord]) -> SweepResult:
+        """Records with their confidence, the fraction of applicable rows that
+        hold (None without one), and their count of cells outside the bound's
+        regime: inapplicable rows with a margin, as rows that skip the bound
+        (t-sweep) carry none.
+
+        This relies on ``bound.epsilon_boost`` returning +inf for an
+        undefined or zero margin before it compares d with e*m: a cell
+        without a margin is then never outside the regime.
+        ``tests/test_experiments.py`` pins that order.
+        """
+        applicable = [r.gap_report for r in records if r.applicable]
+        return cls(
+            records=tuple(records),
+            confidence=confidence(applicable) if applicable else None,
+            inapplicable_count=sum(
+                1 for r in records if not r.applicable and r.gap_report.rho is not None
+            ),
+        )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", tuple(self.records))

@@ -1,9 +1,22 @@
-"""Experiment orchestration: seeded parameter sweeps over grid cells.
+"""Experiment orchestration: every verdict comes from one seeded cell.
 
-Every grid cell is a pure function of its parameters and a seed derived
-from (master seed, cell index), so sweeps can run on any number of worker
-processes and still merge to the same records in the same order. The
-swept experiments:
+A cell is a ``CellSpec``: the experiment it belongs to, its round count T,
+training size m, VC-dimension d, delta, seed and epoch budget. Every cell
+runs the same two steps:
+
+  * data  - ``_cell_data`` returns its (train, test) pair: synthetic data
+            of dimension d-1 split into two halves of m rows; a seeded
+            m-row subsample of a real train half (real m-sweep); the top
+            d-1 importance-ordered columns of both real halves (real
+            d-sweep); or the ``train`` command's loaded halves as they are;
+  * score - ``_run_cell`` trains T rounds, measures train and test error
+            and the margin rho, and judges the gap against the bound
+            (d > e*m gives an inapplicable record). The iteration sweep's
+            ``_run_iteration_repeat`` reads staged error curves instead.
+
+Cell (gi, r), grid point gi and repeat r, is seeded from (master seed,
+gi, r), so sweeps can run on any number of worker processes and still
+merge to the same records in the same order. The swept experiments:
 
   * iteration sweep   - mean train/test errors per round count (no bound)
   * sample-size sweep - gap vs bound across training sizes
@@ -24,7 +37,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from ..bound import BoundInapplicableError, GapReport, check_bound, gap
+from ..bound import BoundInapplicableError, check_bound, no_verdict
 from ..boosting import (
     TrainTrace,
     error_and_margin,
@@ -46,11 +59,14 @@ from .records import SOURCE_REAL, SOURCE_SYNTHETIC, RunParams, RunRecord, SweepR
 
 DEFAULT_ROUNDS = 10
 DEFAULT_EPOCHS = 10
-DEFAULT_EPSILON_FLOOR = 1e-10
 
 # Seed namespaces under the master seed.
 _NS_CELL = 0
 _NS_SWEEP = 1
+
+_REAL_M = "real-m-sweep"
+_REAL_D = "real-d-sweep"
+_TRAIN = "train"
 
 
 @dataclass(frozen=True)
@@ -65,7 +81,6 @@ class CellSpec:
     delta: float
     seed: int
     epochs: int
-    epsilon_floor: float
 
 
 def _elapsed_ms(t0: int) -> int:
@@ -79,26 +94,66 @@ def _cell_error(spec: CellSpec, exc: Exception) -> RuntimeError:
     )
 
 
-def _verdict_record(
-    spec: CellSpec,
-    train_error: float,
-    test_error: float,
-    rho: float | None,
-    wall_ms: int,
-) -> RunRecord:
-    """Evaluate the bound for a finished cell; d > e*m yields an inapplicable row."""
+# The real-data halves cells draw from; _map_cells sets them in this process
+# or in each pool worker, run_train_cell in this process.
+_REAL_CONTEXT: dict[str, Dataset] = {}
+
+
+def _set_real_context(pair: SplitPair | None) -> None:
+    _REAL_CONTEXT.clear()
+    if pair is not None:
+        _REAL_CONTEXT.update(train=pair.train, test=pair.test)
+
+
+def _cell_data(spec: CellSpec) -> tuple[Dataset, Dataset]:
+    """The (train, test) pair the cell trains and scores on."""
+    if spec.source == SOURCE_SYNTHETIC:
+        data = generate_synthetic(
+            SyntheticConfig(
+                n_features=spec.d - 1, m_total=2 * spec.m, seed=derive_seed(spec.seed, 0)
+            )
+        )
+        pair = split_half(data, derive_seed(spec.seed, 1))
+        return pair.train, pair.test
+    train, test = _REAL_CONTEXT["train"], _REAL_CONTEXT["test"]
+    if spec.experiment_id == _REAL_M:
+        rows = make_rng(derive_seed(spec.seed, 3)).choice(
+            train.n_rows, size=spec.m, replace=False
+        )
+        subsample = Dataset(
+            features=train.features[rows],
+            labels=train.labels[rows],
+            feature_names=train.feature_names,
+        )
+        return subsample, test
+    if spec.experiment_id == _REAL_D:
+        keep = list(range(spec.d - 1))  # context features arrive importance-ordered
+        return select_features(train, keep), select_features(test, keep)
+    if spec.experiment_id == _TRAIN:
+        return train, test
+    raise ValueError(f"no real-data cell for experiment {spec.experiment_id!r}")
+
+
+def _train_on(spec: CellSpec, train: Dataset) -> TrainTrace:
+    config = PerceptronConfig(epochs=spec.epochs, seed=derive_seed(spec.seed, 2))
+    return train_adaboost(train, spec.T, config)
+
+
+def _run_cell(spec: CellSpec) -> RunRecord:
+    """Train and score one cell, then judge its gap against the bound."""
+    t0 = time.perf_counter_ns()
+    try:
+        train, test = _cell_data(spec)
+        ensemble = _train_on(spec, train).ensemble
+        train_error, rho = error_and_margin(ensemble, train)
+        test_error = misclassification_rate(ensemble, test)
+    except Exception as exc:
+        raise _cell_error(spec, exc) from exc
     try:
         report = check_bound(train_error, test_error, rho, spec.d, spec.m, spec.delta)
         applicable = True
     except BoundInapplicableError:
-        report = GapReport(
-            train_error=train_error,
-            test_error=test_error,
-            delta_r=gap(train_error, test_error),
-            rho=rho,
-            epsilon_boost=math.nan,
-            holds=False,
-        )
+        report = no_verdict(train_error, test_error, rho)
         applicable = False
     return RunRecord(
         experiment_id=spec.experiment_id,
@@ -107,144 +162,104 @@ def _verdict_record(
             source=spec.source,
         ),
         gap_report=report,
-        wall_time_ms=wall_ms,
+        wall_time_ms=_elapsed_ms(t0),
         applicable=applicable,
     )
-
-
-def _train_on(spec: CellSpec, train: Dataset) -> TrainTrace:
-    config = PerceptronConfig(epochs=spec.epochs, seed=derive_seed(spec.seed, 2))
-    return train_adaboost(train, spec.T, config, spec.epsilon_floor)
-
-
-def _run_synthetic_cell(spec: CellSpec) -> RunRecord:
-    t0 = time.perf_counter_ns()
-    try:
-        data = generate_synthetic(
-            SyntheticConfig(
-                n_features=spec.d - 1,
-                m_total=2 * spec.m,
-                seed=derive_seed(spec.seed, 0),
-            )
-        )
-        pair = split_half(data, derive_seed(spec.seed, 1))
-        trace = _train_on(spec, pair.train)
-        train_error, rho = error_and_margin(trace.ensemble, pair.train)
-        test_error = misclassification_rate(trace.ensemble, pair.test)
-    except Exception as exc:
-        raise _cell_error(spec, exc) from exc
-    return _verdict_record(spec, train_error, test_error, rho, _elapsed_ms(t0))
 
 
 def _run_iteration_repeat(spec: CellSpec) -> tuple[np.ndarray, np.ndarray, int]:
     """One repeat of the iteration sweep: staged error curves over 1..T."""
     t0 = time.perf_counter_ns()
     try:
-        data = generate_synthetic(
-            SyntheticConfig(
-                n_features=spec.d - 1,
-                m_total=2 * spec.m,
-                seed=derive_seed(spec.seed, 0),
-            )
-        )
-        pair = split_half(data, derive_seed(spec.seed, 1))
-        trace = _train_on(spec, pair.train)
-        train_curve = staged_misclassification_rates(trace, pair.train)
-        test_curve = staged_misclassification_rates(trace, pair.test)
+        train, test = _cell_data(spec)
+        trace = _train_on(spec, train)
+        train_curve = staged_misclassification_rates(trace, train)
+        test_curve = staged_misclassification_rates(trace, test)
     except Exception as exc:
         raise _cell_error(spec, exc) from exc
     return train_curve, test_curve, _elapsed_ms(t0)
 
 
-# Real-data context shared with worker processes (set once per worker).
-_REAL_CONTEXT: dict[str, Dataset] = {}
-
-
-def _set_real_context(train: Dataset, test: Dataset) -> None:
-    _REAL_CONTEXT["train"] = train
-    _REAL_CONTEXT["test"] = test
-
-
-def _run_real_m_cell(spec: CellSpec) -> RunRecord:
-    t0 = time.perf_counter_ns()
-    try:
-        train_half, test_half = _REAL_CONTEXT["train"], _REAL_CONTEXT["test"]
-        rng = make_rng(derive_seed(spec.seed, 3))
-        rows = rng.choice(train_half.n_rows, size=spec.m, replace=False)
-        subsample = Dataset(
-            features=train_half.features[rows],
-            labels=train_half.labels[rows],
-            feature_names=train_half.feature_names,
-        )
-        trace = _train_on(spec, subsample)
-        train_error, rho = error_and_margin(trace.ensemble, subsample)
-        test_error = misclassification_rate(trace.ensemble, test_half)
-    except Exception as exc:
-        raise _cell_error(spec, exc) from exc
-    return _verdict_record(spec, train_error, test_error, rho, _elapsed_ms(t0))
-
-
-def _run_real_d_cell(spec: CellSpec) -> RunRecord:
-    t0 = time.perf_counter_ns()
-    try:
-        train_half, test_half = _REAL_CONTEXT["train"], _REAL_CONTEXT["test"]
-        keep = list(range(spec.d - 1))  # context features arrive importance-ordered
-        train = select_features(train_half, keep)
-        test = select_features(test_half, keep)
-        trace = _train_on(spec, train)
-        train_error, rho = error_and_margin(trace.ensemble, train)
-        test_error = misclassification_rate(trace.ensemble, test)
-    except Exception as exc:
-        raise _cell_error(spec, exc) from exc
-    return _verdict_record(spec, train_error, test_error, rho, _elapsed_ms(t0))
-
-
 def _map_cells(
-    fn: Callable,
-    specs: Sequence[CellSpec],
-    workers: int,
-    initializer: Callable | None = None,
-    initargs: tuple = (),
+    fn: Callable, specs: Sequence[CellSpec], workers: int, pair: SplitPair | None = None
 ) -> list:
-    """Run cells and return their results in spec order, never arrival order.
+    """Run cells on ``pair``'s halves and return their results in spec order,
+    never arrival order.
 
     A pool gets the cells largest first (cost m * T * epochs, ties in spec
     order), so the longest cell does not start last and leave the other
     workers idle (LPT scheduling, Graham 1969).
     """
     if workers <= 1 or len(specs) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        return [fn(s) for s in specs]
+        _set_real_context(pair)
+        try:
+            return [fn(s) for s in specs]
+        finally:
+            _set_real_context(None)
     order = sorted(
         range(len(specs)), key=lambda i: -specs[i].m * specs[i].T * specs[i].epochs
     )
     results = [None] * len(specs)
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=initializer, initargs=initargs
+        max_workers=workers, initializer=_set_real_context, initargs=(pair,)
     ) as pool:
         for i, result in zip(order, pool.map(fn, [specs[i] for i in order])):
             results[i] = result
     return results
 
 
-def _assemble(records: Sequence[RunRecord]) -> SweepResult:
-    applicable = [r for r in records if r.applicable]
-    conf = (
-        sum(1 for r in applicable if r.gap_report.holds) / len(applicable)
-        if applicable
-        else None
-    )
-    return SweepResult(
-        records=tuple(records),
-        confidence=conf,
-        inapplicable_count=len(records) - len(applicable),
-    )
+def _cell_specs(
+    experiment_id: str,
+    source: str,
+    points: Sequence[tuple[int, int]],
+    delta: float,
+    master_seed: int,
+    n_repeats: int,
+    n_rounds: int,
+    epochs: int,
+) -> list[CellSpec]:
+    """One spec per (grid point, repeat); grid points are (m, d)."""
+    if n_repeats < 1:
+        raise ValueError("n_repeats must be at least 1")
+    return [
+        CellSpec(
+            experiment_id=experiment_id,
+            source=source,
+            T=n_rounds,
+            m=m,
+            d=d,
+            delta=delta,
+            seed=derive_seed(master_seed, _NS_CELL, gi, r),
+            epochs=epochs,
+        )
+        for gi, (m, d) in enumerate(points)
+        for r in range(n_repeats)
+    ]
 
 
-def _check_grid(name: str, lo: int, hi: int, step: int, minimum: int) -> range:
-    if lo < minimum:
-        raise ValueError(f"{name}_min must be at least {minimum}, got {lo}")
+def _sweep(
+    experiment_id: str,
+    source: str,
+    points: Sequence[tuple[int, int]],
+    delta: float,
+    master_seed: int,
+    n_repeats: int,
+    n_rounds: int,
+    epochs: int,
+    workers: int,
+    pair: SplitPair | None = None,
+) -> SweepResult:
+    """Gap vs bound at every (m, d) grid point, n_repeats cells each."""
+    specs = _cell_specs(
+        experiment_id, source, points, delta, master_seed, n_repeats, n_rounds, epochs
+    )
+    return SweepResult.of(_map_cells(_run_cell, specs, workers, pair))
+
+
+def sweep_grid(name: str, lo: int, hi: int, step: int) -> range:
+    """The values lo, lo + step, ... up to hi of a swept m or d, checked."""
+    if lo < 2:
+        raise ValueError(f"{name}_min must be at least 2, got {lo}")
     if step < 1:
         raise ValueError(f"{name}_step must be at least 1, got {step}")
     if hi < lo:
@@ -263,32 +278,16 @@ def run_sample_size_sweep(
     n_repeats: int = 1,
     n_rounds: int = DEFAULT_ROUNDS,
     epochs: int = DEFAULT_EPOCHS,
-    epsilon_floor: float = DEFAULT_EPSILON_FLOOR,
     workers: int = 1,
 ) -> SweepResult:
     """Gap vs bound across training sizes, synthetic data of dimension d-1."""
     if d < 2:
         raise ValueError("d must be at least 2 (one input feature)")
-    if n_repeats < 1:
-        raise ValueError("n_repeats must be at least 1")
-    grid = _check_grid("m", m_min, m_max, m_step, 2)
-    eid = f"m-sweep-d{d}"
-    specs = [
-        CellSpec(
-            experiment_id=eid,
-            source=SOURCE_SYNTHETIC,
-            T=n_rounds,
-            m=m,
-            d=d,
-            delta=delta,
-            seed=derive_seed(master_seed, _NS_CELL, gi, r),
-            epochs=epochs,
-            epsilon_floor=epsilon_floor,
-        )
-        for gi, m in enumerate(grid)
-        for r in range(n_repeats)
-    ]
-    return _assemble(_map_cells(_run_synthetic_cell, specs, workers))
+    points = [(m, d) for m in sweep_grid("m", m_min, m_max, m_step)]
+    return _sweep(
+        f"m-sweep-d{d}", SOURCE_SYNTHETIC, points, delta, master_seed,
+        n_repeats, n_rounds, epochs, workers,
+    )
 
 
 def run_dimension_sweep(
@@ -302,7 +301,6 @@ def run_dimension_sweep(
     n_repeats: int = 1,
     n_rounds: int = DEFAULT_ROUNDS,
     epochs: int = DEFAULT_EPOCHS,
-    epsilon_floor: float = DEFAULT_EPSILON_FLOOR,
     workers: int = 1,
 ) -> SweepResult:
     """Gap vs bound across base-learner VC-dimensions at fixed sample size.
@@ -312,26 +310,11 @@ def run_dimension_sweep(
     """
     if m < 2:
         raise ValueError("m must be at least 2")
-    if n_repeats < 1:
-        raise ValueError("n_repeats must be at least 1")
-    grid = _check_grid("d", d_min, d_max, d_step, 2)
-    eid = f"d-sweep-m{m}"
-    specs = [
-        CellSpec(
-            experiment_id=eid,
-            source=SOURCE_SYNTHETIC,
-            T=n_rounds,
-            m=m,
-            d=d,
-            delta=delta,
-            seed=derive_seed(master_seed, _NS_CELL, gi, r),
-            epochs=epochs,
-            epsilon_floor=epsilon_floor,
-        )
-        for gi, d in enumerate(grid)
-        for r in range(n_repeats)
-    ]
-    return _assemble(_map_cells(_run_synthetic_cell, specs, workers))
+    points = [(m, d) for d in sweep_grid("d", d_min, d_max, d_step)]
+    return _sweep(
+        f"d-sweep-m{m}", SOURCE_SYNTHETIC, points, delta, master_seed,
+        n_repeats, n_rounds, epochs, workers,
+    )
 
 
 def run_iteration_sweep(
@@ -342,7 +325,6 @@ def run_iteration_sweep(
     master_seed: int,
     *,
     epochs: int = DEFAULT_EPOCHS,
-    epsilon_floor: float = DEFAULT_EPSILON_FLOOR,
     workers: int = 1,
 ) -> SweepResult:
     """Mean train/test errors for every round count 1..t_max.
@@ -354,56 +336,55 @@ def run_iteration_sweep(
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    if n_repeats < 1:
-        raise ValueError("n_repeats must be at least 1")
     if d < 2 or m < 2:
         raise ValueError("d and m must be at least 2")
     eid = f"t-sweep-d{d}-m{m}"
-    specs = [
-        CellSpec(
-            experiment_id=eid,
-            source=SOURCE_SYNTHETIC,
-            T=t_max,
-            m=m,
-            d=d,
-            delta=math.nan,
-            seed=derive_seed(master_seed, _NS_CELL, 0, r),
-            epochs=epochs,
-            epsilon_floor=epsilon_floor,
-        )
-        for r in range(n_repeats)
-    ]
+    specs = _cell_specs(
+        eid, SOURCE_SYNTHETIC, [(m, d)], math.nan, master_seed, n_repeats, t_max, epochs
+    )
     results = _map_cells(_run_iteration_repeat, specs, workers)
-    train_curves = np.stack([r[0] for r in results])
-    test_curves = np.stack([r[1] for r in results])
+    mean_train = np.stack([r[0] for r in results]).mean(axis=0)
+    mean_test = np.stack([r[1] for r in results]).mean(axis=0)
     total_ms = int(sum(r[2] for r in results))
-    mean_train = train_curves.mean(axis=0)
-    mean_test = test_curves.mean(axis=0)
-
-    records = []
-    for t in range(t_max):
-        train_error = float(mean_train[t])
-        test_error = float(mean_test[t])
-        records.append(
-            RunRecord(
-                experiment_id=eid,
-                params=RunParams(
-                    T=t + 1, m=m, d=d, delta=math.nan, seed=master_seed,
-                    source=SOURCE_SYNTHETIC,
-                ),
-                gap_report=GapReport(
-                    train_error=train_error,
-                    test_error=test_error,
-                    delta_r=test_error - train_error,
-                    rho=None,
-                    epsilon_boost=math.nan,
-                    holds=False,
-                ),
-                wall_time_ms=total_ms,
-                applicable=False,
-            )
+    records = [
+        RunRecord(
+            experiment_id=eid,
+            params=RunParams(
+                T=t + 1, m=m, d=d, delta=math.nan, seed=master_seed,
+                source=SOURCE_SYNTHETIC,
+            ),
+            gap_report=no_verdict(float(mean_train[t]), float(mean_test[t]), None),
+            wall_time_ms=total_ms,
+            applicable=False,
         )
-    return SweepResult(records=tuple(records), confidence=None, inapplicable_count=0)
+        for t in range(t_max)
+    ]
+    return SweepResult.of(records)
+
+
+def run_train_cell(
+    d: int,
+    m: int,
+    n_rounds: int,
+    epochs: int,
+    delta: float,
+    seed: int,
+    pair: SplitPair | None = None,
+) -> RunRecord:
+    """The ``train`` command's one cell, seeded with ``seed`` itself.
+
+    It trains on ``pair``'s train half and tests on its test half as they
+    are (d and m must then be its feature count + 1 and train rows), or,
+    without a pair, on synthetic data of dimension d-1 cut into two halves
+    of m rows.
+    """
+    source = SOURCE_SYNTHETIC if pair is None else SOURCE_REAL
+    spec = CellSpec(_TRAIN, source, n_rounds, m, d, delta, seed, epochs)
+    _set_real_context(pair)
+    try:
+        return _run_cell(spec)
+    finally:
+        _set_real_context(None)
 
 
 def real_split_seed(master_seed: int) -> int:
@@ -421,7 +402,6 @@ def run_real_data(
     n_repeats: int = 1,
     n_rounds: int = DEFAULT_ROUNDS,
     epochs: int = DEFAULT_EPOCHS,
-    epsilon_floor: float = DEFAULT_EPSILON_FLOOR,
     workers: int = 1,
 ) -> SweepResult:
     """Bound verification on the train/test halves of an ingested dataset.
@@ -435,7 +415,7 @@ def run_real_data(
     grid = [int(g) for g in grid]
     if not grid:
         raise ValueError("empty grid")
-    if n_repeats < 1:
+    if n_repeats < 1:  # before the d-sweep's ranking fit
         raise ValueError("n_repeats must be at least 1")
     train_half, test_half = pair.train, pair.test
     n_features = train_half.n_features
@@ -447,31 +427,11 @@ def run_real_data(
             raise ValueError(
                 f"m={max(grid)} exceeds the train half ({train_half.n_rows} rows)"
             )
-        eid = "real-m-sweep"
-        d = n_features + 1
-        specs = [
-            CellSpec(
-                experiment_id=eid,
-                source=SOURCE_REAL,
-                T=n_rounds,
-                m=m,
-                d=d,
-                delta=delta,
-                seed=derive_seed(master_seed, _NS_CELL, gi, r),
-                epochs=epochs,
-                epsilon_floor=epsilon_floor,
-            )
-            for gi, m in enumerate(grid)
-            for r in range(n_repeats)
-        ]
-        records = _map_cells(
-            _run_real_m_cell,
-            specs,
-            workers,
-            initializer=_set_real_context,
-            initargs=(train_half, test_half),
+        points = [(m, n_features + 1) for m in grid]
+        return _sweep(
+            _REAL_M, SOURCE_REAL, points, delta, master_seed,
+            n_repeats, n_rounds, epochs, workers, pair,
         )
-        return _assemble(records)
 
     if mode == "d-sweep":
         if min(grid) < 2:
@@ -489,37 +449,17 @@ def run_real_data(
             delta=delta,
             seed=derive_seed(master_seed, _NS_SWEEP, 1),
             epochs=epochs,
-            epsilon_floor=epsilon_floor,
         )
-        ranking_trace = _train_on(rank_spec, train_half)
-        order = rank_features(ranking_trace, n_features)
-        train_ordered = select_features(train_half, order)
-        test_ordered = select_features(test_half, order)
-
-        eid = "real-d-sweep"
-        specs = [
-            CellSpec(
-                experiment_id=eid,
-                source=SOURCE_REAL,
-                T=n_rounds,
-                m=train_half.n_rows,
-                d=d,
-                delta=delta,
-                seed=derive_seed(master_seed, _NS_CELL, gi, r),
-                epochs=epochs,
-                epsilon_floor=epsilon_floor,
-            )
-            for gi, d in enumerate(grid)
-            for r in range(n_repeats)
-        ]
-        records = _map_cells(
-            _run_real_d_cell,
-            specs,
-            workers,
-            initializer=_set_real_context,
-            initargs=(train_ordered, test_ordered),
+        order = rank_features(_train_on(rank_spec, train_half), n_features)
+        ordered = SplitPair(
+            train=select_features(train_half, order),
+            test=select_features(test_half, order),
         )
-        return _assemble(records)
+        points = [(train_half.n_rows, d) for d in grid]
+        return _sweep(
+            _REAL_D, SOURCE_REAL, points, delta, master_seed,
+            n_repeats, n_rounds, epochs, workers, ordered,
+        )
 
     raise ValueError(f"unknown real-data mode {mode!r}")
 

@@ -274,6 +274,25 @@ class TestExpCommand:
         assert code == 2
         assert "train half" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mode, flags, message",
+        [
+            ("real-m", ["--m-step", "0"], "m_step must be at least 1, got 0"),
+            ("real-m", ["--m-step", "-5"], "m_step must be at least 1, got -5"),
+            ("real-d", ["--d-min", "10", "--d-max", "5"], "d_max 5 below d_min 10"),
+        ],
+    )
+    def test_real_data_grid_is_checked(self, tmp_path, capsys, mode, flags, message):
+        # the same checks and messages as the synthetic sweeps' grids
+        gen_out = tmp_path / "gen"
+        run(["gen", "--d", "4", "--m", "20", "--seed", "3", "--out", gen_out])
+        capsys.readouterr()
+        code = run([
+            "exp", mode, "--data", gen_out / "dataset.csv", *flags, "--out", tmp_path / "x",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestPlotCommand:
     def test_replots_identical_svg(self, tmp_path, capsys):

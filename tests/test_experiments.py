@@ -41,6 +41,7 @@ from boostbound.experiments import (
     run_sample_size_sweep,
 )
 from boostbound.bound import GapReport
+from boostbound.experiments import sweeps
 from boostbound.rng import make_rng
 
 FAST = dict(n_rounds=3, epochs=3)
@@ -145,6 +146,20 @@ class TestDimensionSweep:
         assert math.isnan(bad.gap_report.epsilon_boost)
         assert not bad.gap_report.holds
         assert result.confidence == 1.0 or result.confidence == 0.0
+
+    @pytest.mark.parametrize("rho", [None, 0.0])
+    def test_cell_past_e_m_without_a_margin_has_an_infinite_bound(self, monkeypatch, rho):
+        # epsilon_boost returns +inf for a zero or undefined margin before it
+        # compares d with e*m, so this d=10 > e*3 cell is applicable and every
+        # inapplicable record carries a margin, which SweepResult.of counts on.
+        monkeypatch.setattr(sweeps, "error_and_margin", lambda ensemble, data: (0.25, rho))
+        result = run_dimension_sweep(3, 10, 10, 1, 0.05, 42, workers=1, **FAST)
+        (record,) = result.records
+        assert record.applicable
+        assert record.gap_report.rho == rho
+        assert record.gap_report.epsilon_boost == math.inf
+        assert result.inapplicable_count == 0
+        assert result.confidence == 1.0
 
 
 class TestIterationSweep:
