@@ -62,7 +62,12 @@ def polyfit(points: Sequence[tuple[float, float]], order: int = DEFAULT_FIT_ORDE
         )
     lo, hi = float(distinct[0]), float(distinct[-1])
     fit = PolyFit(coefficients=np.zeros(order + 1), order=order, x_scale=(lo, hi))
-    u = fit.rescale(xs)
-    vandermonde = np.vander(u, order + 1, increasing=True)
-    coeffs, *_ = np.linalg.lstsq(vandermonde, ys, rcond=None)
+    if np.all(ys == ys[0]):
+        # Exactly constant: lstsq would give a line of rounding noise whose
+        # bytes depend on the BLAS kernel.
+        coeffs = np.r_[ys[0], np.zeros(order)]
+    else:
+        u = fit.rescale(xs)
+        vandermonde = np.vander(u, order + 1, increasing=True)
+        coeffs, *_ = np.linalg.lstsq(vandermonde, ys, rcond=None)
     return PolyFit(coefficients=coeffs, order=order, x_scale=(lo, hi))

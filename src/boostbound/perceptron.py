@@ -75,6 +75,13 @@ def fit_perceptron(
     Weights and bias start at zero. Each epoch visits the rows in a fresh
     seeded shuffle; rows with zero weight produce zero-magnitude updates
     and therefore never change the model.
+
+    Before the epochs the fit precomputes the update rows ``step[i] * x_i``
+    (the same elementwise products a visit would form), the steps and
+    labels as Python floats, and a list of row views. A visit scores with
+    ``row.dot(w)``, the same ``ddot`` over the same contiguous row as
+    ``x_i @ w``, so the weights and bias are bit for bit those of the
+    per-visit loop that ``tests/test_perceptron.py`` keeps as its oracle.
     """
     X, y = train.features, train.labels
     m, n = X.shape
@@ -84,16 +91,17 @@ def fit_perceptron(
         )
     rng = make_rng(config.seed)
     step = m * dist.probabilities * y
+    moves = step[:, None] * X
+    rows = list(X)
+    steps, labels = step.tolist(), y.tolist()
     w = np.zeros(n)
     b = 0.0
     for _ in range(config.epochs):
-        for i in rng.permutation(m):
-            xi = X[i]
-            score = xi @ w + b
-            pred = 1.0 if score >= 0.0 else -1.0
-            if pred != y[i]:
-                w += step[i] * xi
-                b += step[i]
+        for i in rng.permutation(m).tolist():
+            pred = 1.0 if rows[i].dot(w) + b >= 0.0 else -1.0
+            if pred != labels[i]:
+                w += moves[i]
+                b += steps[i]
     return PerceptronModel(weights=w, bias=b)
 
 

@@ -377,6 +377,13 @@ class TestPolyfit:
             )
             assert float(np.sum((perturbed.evaluate(xs) - ys) ** 2)) >= best
 
+    def test_constant_data_gives_the_exact_constant(self):
+        # A flat sweep: lstsq alone would leave rounding noise, which the
+        # SVG's y-range would stretch over the plot.
+        y = 0.009999999999999995
+        fit = polyfit([(2.0, y), (12.0, y), (22.0, y)], order=2)
+        assert fit.evaluate(np.linspace(2.0, 22.0, 200)).tolist() == [y] * 200
+
     def test_rejects_insufficient_points(self):
         with pytest.raises(ValueError, match="distinct"):
             polyfit([(0.0, 1.0), (0.0, 2.0), (1.0, 3.0)], order=2)

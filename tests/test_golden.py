@@ -10,7 +10,9 @@ CSV that the real-data cases load, written by ``bench/workloads.py``
 the labels positive the ensembles do not all predict one class, so delta_r
 varies across each real-data sweep and its fitted line is not rounding
 noise that the SVG's y-range would stretch into a different plot for each
-BLAS kernel.
+BLAS kernel. ``real-d-flat.csv`` is a real-d sweep whose delta_r is the same
+in every row (its ensembles all predict the majority class of a 9%-positive
+CSV); ``plot-flat`` pins that such a sweep gets an exactly constant fit.
 
 ``python tests/test_golden.py`` rewrites the goldens from the current code.
 Do that only in a change that means to alter output bytes, and say so in
@@ -61,6 +63,7 @@ CASES = {
         "--d-step", "10", "--t-max", "3", "--epochs", "2",
     ],
     "plot": ["plot", "--data", GOLDEN / "real-m" / "real-m.csv"],
+    "plot-flat": ["plot", "--data", GOLDEN / "real-d-flat.csv"],
 }
 
 

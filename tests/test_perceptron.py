@@ -1,5 +1,7 @@
 """Weighted perceptron: updates, prediction convention, weighted error."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +36,21 @@ def replay_fit(X, y, step, visit_orders):
                 w += step[i] * xi
                 b += step[i]
     return w, b
+
+
+def oracle_problem(seed, m, n, integer):
+    """Rows under 0/1 weights, so zero-weight rows give -0.0 steps for
+    negative labels. Small-integer features make exact-zero scores (the
+    sign(0)=+1 tie) occur; normal ones make the summation order show."""
+    rng = make_rng(seed)
+    if integer:
+        X = rng.integers(-2, 3, size=(m, n)).astype(float)
+    else:
+        X = rng.standard_normal((m, n))
+    y = np.where(rng.random(m) < 0.5, -1.0, 1.0)
+    p = rng.integers(0, 2, size=m).astype(float)
+    p[rng.integers(m)] = 1.0
+    return dataset(X, y), Distribution(p / p.sum())
 
 
 class TestPredict:
@@ -153,6 +170,38 @@ class TestFitPerceptron:
         full_preds = predict_many(full, probe)
         red_preds = predict_many(PerceptronModel(weights=w_red, bias=b_red), probe)
         np.testing.assert_array_equal(full_preds, red_preds)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 40),
+        m=st.integers(1, 300),
+        epochs=st.integers(1, 3),
+        integer=st.booleans(),
+    )
+    # a -1 row scores exactly 0 on a nonzero model
+    @example(seed=5, n=2, m=4, epochs=2, integer=True)
+    def test_matches_replay_oracle_bit_for_bit(self, seed, n, m, epochs, integer):
+        train, dist = oracle_problem(seed, m, n, integer)
+        model = fit_perceptron(train, dist, PerceptronConfig(epochs=epochs, seed=seed))
+        gen = make_rng(seed)
+        orders = [gen.permutation(m) for _ in range(epochs)]
+        X, y = train.features, train.labels
+        w, b = replay_fit(X, y, m * dist.probabilities * y, orders)
+        assert model.weights.tobytes() == w.tobytes()
+        assert model.bias == b
+
+    def test_peak_memory_is_bounded_by_the_training_matrix(self):
+        rng = make_rng(2)
+        train = dataset(rng.standard_normal((5000, 21)), np.where(rng.random(5000) < 0.5, -1.0, 1.0))
+        dist = Distribution.uniform(5000)
+        tracemalloc.start()
+        try:
+            fit_perceptron(train, dist, PerceptronConfig(epochs=1, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * train.features.nbytes
 
     def test_deterministic(self):
         rng = make_rng(1)
