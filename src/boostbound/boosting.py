@@ -165,18 +165,13 @@ def round_predictions(round_: BoostRound, features: np.ndarray) -> np.ndarray:
     return -h if round_.flipped else h
 
 
-def ensemble_scores(ens: Ensemble, features: np.ndarray) -> np.ndarray:
-    """Vector of sum_t alpha_t * h_t(x_i), accumulated in round order."""
-    scores = np.zeros(features.shape[0])
-    for r in ens.rounds:
-        scores += r.alpha * round_predictions(r, features)
-    return scores
-
-
 def ensemble_score(ens: Ensemble, x: np.ndarray) -> float:
-    """sum_t alpha_t * h_t(x) for a single point."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    return float(ensemble_scores(ens, x.reshape(1, -1))[0])
+    """sum_t alpha_t * h_t(x) for a single point, accumulated in round order."""
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    score = 0.0
+    for r in ens.rounds:
+        score += r.alpha * float(round_predictions(r, x)[0])
+    return score
 
 
 def ensemble_predict(ens: Ensemble, x: np.ndarray) -> int:
@@ -184,43 +179,40 @@ def ensemble_predict(ens: Ensemble, x: np.ndarray) -> int:
     return 1 if ensemble_score(ens, x) >= 0.0 else -1
 
 
+def evaluate(ens: Ensemble, data: Dataset) -> tuple[np.ndarray, float | None]:
+    """Staged errors and L1 margin of ``ens`` on ``data`` from one running vote sum.
+
+    ``staged[t-1]`` is the misclassification rate of the prefix ensemble of
+    rounds 1..t, with sign(0) = +1. That equals retraining with t rounds,
+    since round t's seed depends only on (seed, t). ``rho`` is the minimum
+    of |score(x_i)| / sum_t |alpha_t| over the rows of the full ensemble: it
+    lies in [0, 1] since every hypothesis outputs +/-1, and is None when all
+    alphas are zero (the margin is undefined; the bound treats it as an
+    infinite ceiling).
+    """
+    if data.n_rows < 1:
+        raise ValueError("dataset is empty")
+    positive = data.labels > 0.0
+    scores = np.zeros(data.n_rows)
+    staged = np.empty(len(ens.rounds))
+    for t, r in enumerate(ens.rounds):
+        scores += r.alpha * round_predictions(r, data.features)
+        staged[t] = np.count_nonzero((scores >= 0.0) != positive) / data.n_rows
+    total = ens.alpha_total
+    rho = None if total == 0.0 else float(np.min(np.abs(scores))) / total
+    return staged, rho
+
+
 def misclassification_rate(ens: Ensemble, data: Dataset) -> float:
-    """Fraction of rows where the ensemble vote disagrees with the label."""
-    return error_and_margin(ens, data)[0]
+    """Fraction of rows where the full ensemble's vote disagrees with the label."""
+    return float(evaluate(ens, data)[0][-1])
 
 
 def l1_margin(ens: Ensemble, data: Dataset) -> float | None:
-    """Minimum of |score(x_i)| / sum_t |alpha_t| over the rows.
-
-    Lies in [0, 1] since every hypothesis outputs +/-1. Returns None when
-    all alphas are zero (the margin is undefined; the bound treats it as
-    an infinite ceiling).
-    """
-    return error_and_margin(ens, data)[1]
-
-
-def error_and_margin(ens: Ensemble, data: Dataset) -> tuple[float, float | None]:
-    """``(misclassification_rate, l1_margin)`` on ``data`` from one scoring pass."""
-    if data.n_rows < 1:
-        raise ValueError("dataset is empty")
-    scores = ensemble_scores(ens, data.features)
-    preds = np.where(scores >= 0.0, 1.0, -1.0)
-    error = float(np.count_nonzero(preds != data.labels)) / data.n_rows
-    total = ens.alpha_total
-    rho = None if total == 0.0 else float(np.min(np.abs(scores))) / total
-    return error, rho
+    """The full ensemble's L1 margin on ``data`` (see :func:`evaluate`)."""
+    return evaluate(ens, data)[1]
 
 
 def staged_misclassification_rates(trace: TrainTrace, data: Dataset) -> np.ndarray:
-    """Misclassification rate of every prefix ensemble, rounds 1..T.
-
-    Equivalent to retraining with smaller round counts, which holds
-    exactly because round t's seed depends only on (seed, t).
-    """
-    if data.n_rows < 1:
-        raise ValueError("dataset is empty")
-    rounds = trace.ensemble.rounds
-    votes = np.stack([r.alpha * round_predictions(r, data.features) for r in rounds])
-    scores = np.cumsum(votes, axis=0)
-    preds = np.where(scores >= 0.0, 1.0, -1.0)
-    return np.count_nonzero(preds != data.labels, axis=1) / data.n_rows
+    """Misclassification rate of every prefix ensemble, rounds 1..T."""
+    return evaluate(trace.ensemble, data)[0]

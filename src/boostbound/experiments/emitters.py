@@ -36,10 +36,6 @@ def _fmt_float(v: float | None) -> str:
     return format(v, ".17g")
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
 def emit_csv(result: SweepResult, path: str | Path) -> None:
     """Write one row per record under the fixed schema."""
     if not result.records:
@@ -77,39 +73,42 @@ def load_records_csv(path: str | Path) -> SweepResult:
     bound was never evaluated load with ``rho=None`` and a NaN ceiling.
     """
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError(f"{path}: not a sweep CSV (bad header)")
     records = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != 14:
-            raise ValueError(f"{path}: malformed row {ln!r}")
-        rho = _parse_float(cells[7])
-        report = GapReport(
-            train_error=_parse_float(cells[8]),
-            test_error=_parse_float(cells[9]),
-            delta_r=_parse_float(cells[10]),
-            rho=None if math.isnan(rho) else rho,
-            epsilon_boost=_parse_float(cells[11]),
-            holds=cells[12] == "true",
-        )
-        records.append(
-            RunRecord(
-                experiment_id=cells[0],
-                params=RunParams(
-                    T=int(cells[2]),
-                    m=int(cells[3]),
-                    d=int(cells[4]),
-                    delta=_parse_float(cells[5]),
-                    seed=int(cells[6]),
-                    source=cells[1],
-                ),
-                gap_report=report,
-                wall_time_ms=0,
-                applicable=cells[13] == "true",
+    for n, ln in lines[1:]:
+        try:
+            cells = ln.split(",")
+            if len(cells) != 14:
+                raise ValueError(f"malformed row {ln!r}")
+            rho = float(cells[7])
+            report = GapReport(
+                train_error=float(cells[8]),
+                test_error=float(cells[9]),
+                delta_r=float(cells[10]),
+                rho=None if math.isnan(rho) else rho,
+                epsilon_boost=float(cells[11]),
+                holds=cells[12] == "true",
             )
-        )
+            records.append(
+                RunRecord(
+                    experiment_id=cells[0],
+                    params=RunParams(
+                        T=int(cells[2]),
+                        m=int(cells[3]),
+                        d=int(cells[4]),
+                        delta=float(cells[5]),
+                        seed=int(cells[6]),
+                        source=cells[1],
+                    ),
+                    gap_report=report,
+                    wall_time_ms=0,
+                    applicable=cells[13] == "true",
+                )
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {n}: {exc}") from exc
     return SweepResult.of(records)
 
 

@@ -2,17 +2,20 @@
 
 A cell is a ``CellSpec``: the experiment it belongs to, its round count T,
 training size m, VC-dimension d, delta, seed and epoch budget. Every cell
-runs the same two steps:
+runs through one function, ``_run_cell``:
 
   * data  - ``_cell_data`` returns its (train, test) pair: synthetic data
             of dimension d-1 split into two halves of m rows; a seeded
             m-row subsample of a real train half (real m-sweep); the top
             d-1 importance-ordered columns of both real halves (real
             d-sweep); or the ``train`` command's loaded halves as they are;
-  * score - ``_run_cell`` trains T rounds, measures train and test error
-            and the margin rho, and judges the gap against the bound
-            (d > e*m gives an inapplicable record). The iteration sweep's
-            ``_run_iteration_repeat`` reads staged error curves instead.
+  * train - T boosting rounds on the train half;
+  * score - one ``boosting.evaluate`` pass per half gives the staged train
+            and test errors over rounds 1..T and the training margin rho.
+
+The iteration sweep averages the staged curves of its repeats. Every other
+sweep hands each cell's result to ``_verdict``, which judges the final gap
+against the bound (d > e*m gives an inapplicable record).
 
 Cell (gi, r), grid point gi and repeat r, is seeded from (master seed,
 gi, r), so sweeps can run on any number of worker processes and still
@@ -33,18 +36,12 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
 from ..bound import BoundInapplicableError, check_bound, no_verdict
-from ..boosting import (
-    TrainTrace,
-    error_and_margin,
-    misclassification_rate,
-    staged_misclassification_rates,
-    train_adaboost,
-)
+from ..boosting import TrainTrace, evaluate, train_adaboost
 from ..data import (
     Dataset,
     SplitPair,
@@ -95,7 +92,7 @@ def _cell_error(spec: CellSpec, exc: Exception) -> RuntimeError:
 
 
 # The real-data halves cells draw from; _map_cells sets them in this process
-# or in each pool worker, run_train_cell in this process.
+# or in each pool worker.
 _REAL_CONTEXT: dict[str, Dataset] = {}
 
 
@@ -139,16 +136,25 @@ def _train_on(spec: CellSpec, train: Dataset) -> TrainTrace:
     return train_adaboost(train, spec.T, config)
 
 
-def _run_cell(spec: CellSpec) -> RunRecord:
-    """Train and score one cell, then judge its gap against the bound."""
+def _run_cell(spec: CellSpec) -> tuple[np.ndarray, np.ndarray, float | None, int]:
+    """Train one cell and score it: staged train and test errors over rounds
+    1..T, the training margin rho, and the cell's wall time in ms."""
     t0 = time.perf_counter_ns()
     try:
         train, test = _cell_data(spec)
         ensemble = _train_on(spec, train).ensemble
-        train_error, rho = error_and_margin(ensemble, train)
-        test_error = misclassification_rate(ensemble, test)
+        train_errors, rho = evaluate(ensemble, train)
+        test_errors = evaluate(ensemble, test)[0]
     except Exception as exc:
         raise _cell_error(spec, exc) from exc
+    return train_errors, test_errors, rho, _elapsed_ms(t0)
+
+
+def _verdict(spec: CellSpec, cell: tuple) -> RunRecord:
+    """Judge a cell's final gap against the bound (d > e*m gives an
+    inapplicable record)."""
+    train_errors, test_errors, rho, ms = cell
+    train_error, test_error = float(train_errors[-1]), float(test_errors[-1])
     try:
         report = check_bound(train_error, test_error, rho, spec.d, spec.m, spec.delta)
         applicable = True
@@ -162,38 +168,25 @@ def _run_cell(spec: CellSpec) -> RunRecord:
             source=spec.source,
         ),
         gap_report=report,
-        wall_time_ms=_elapsed_ms(t0),
+        wall_time_ms=ms,
         applicable=applicable,
     )
 
 
-def _run_iteration_repeat(spec: CellSpec) -> tuple[np.ndarray, np.ndarray, int]:
-    """One repeat of the iteration sweep: staged error curves over 1..T."""
-    t0 = time.perf_counter_ns()
-    try:
-        train, test = _cell_data(spec)
-        trace = _train_on(spec, train)
-        train_curve = staged_misclassification_rates(trace, train)
-        test_curve = staged_misclassification_rates(trace, test)
-    except Exception as exc:
-        raise _cell_error(spec, exc) from exc
-    return train_curve, test_curve, _elapsed_ms(t0)
-
-
 def _map_cells(
-    fn: Callable, specs: Sequence[CellSpec], workers: int, pair: SplitPair | None = None
+    specs: Sequence[CellSpec], workers: int, pair: SplitPair | None = None
 ) -> list:
-    """Run cells on ``pair``'s halves and return their results in spec order,
-    never arrival order.
+    """Run ``_run_cell`` on ``pair``'s halves and return the results in spec
+    order, never arrival order.
 
-    A pool gets the cells largest first (cost m * T * epochs, ties in spec
-    order), so the longest cell does not start last and leave the other
-    workers idle (LPT scheduling, Graham 1969).
+    A pool gets at most one worker per cell, and the cells largest first
+    (cost m * T * epochs, ties in spec order), so the longest cell does not
+    start last and leave the other workers idle (LPT scheduling, Graham 1969).
     """
     if workers <= 1 or len(specs) <= 1:
         _set_real_context(pair)
         try:
-            return [fn(s) for s in specs]
+            return [_run_cell(s) for s in specs]
         finally:
             _set_real_context(None)
     order = sorted(
@@ -201,9 +194,11 @@ def _map_cells(
     )
     results = [None] * len(specs)
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_set_real_context, initargs=(pair,)
+        max_workers=min(workers, len(specs)),
+        initializer=_set_real_context,
+        initargs=(pair,),
     ) as pool:
-        for i, result in zip(order, pool.map(fn, [specs[i] for i in order])):
+        for i, result in zip(order, pool.map(_run_cell, [specs[i] for i in order])):
             results[i] = result
     return results
 
@@ -253,7 +248,8 @@ def _sweep(
     specs = _cell_specs(
         experiment_id, source, points, delta, master_seed, n_repeats, n_rounds, epochs
     )
-    return SweepResult.of(_map_cells(_run_cell, specs, workers, pair))
+    cells = _map_cells(specs, workers, pair)
+    return SweepResult.of([_verdict(s, c) for s, c in zip(specs, cells)])
 
 
 def sweep_grid(name: str, lo: int, hi: int, step: int) -> range:
@@ -342,10 +338,10 @@ def run_iteration_sweep(
     specs = _cell_specs(
         eid, SOURCE_SYNTHETIC, [(m, d)], math.nan, master_seed, n_repeats, t_max, epochs
     )
-    results = _map_cells(_run_iteration_repeat, specs, workers)
-    mean_train = np.stack([r[0] for r in results]).mean(axis=0)
-    mean_test = np.stack([r[1] for r in results]).mean(axis=0)
-    total_ms = int(sum(r[2] for r in results))
+    cells = _map_cells(specs, workers)
+    mean_train = np.stack([c[0] for c in cells]).mean(axis=0)
+    mean_test = np.stack([c[1] for c in cells]).mean(axis=0)
+    total_ms = int(sum(c[3] for c in cells))
     records = [
         RunRecord(
             experiment_id=eid,
@@ -380,11 +376,7 @@ def run_train_cell(
     """
     source = SOURCE_SYNTHETIC if pair is None else SOURCE_REAL
     spec = CellSpec(_TRAIN, source, n_rounds, m, d, delta, seed, epochs)
-    _set_real_context(pair)
-    try:
-        return _run_cell(spec)
-    finally:
-        _set_real_context(None)
+    return _verdict(spec, _map_cells([spec], 1, pair)[0])
 
 
 def real_split_seed(master_seed: int) -> int:

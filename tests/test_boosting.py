@@ -27,7 +27,7 @@ from boostbound import (
     update_distribution,
     weighted_error,
 )
-from boostbound.boosting import error_and_margin
+from boostbound.boosting import evaluate
 from boostbound.rng import make_rng
 
 # High-precision anchors (mpmath, 50 digits, rounded to double).
@@ -364,17 +364,20 @@ class TestL1Margin:
             if rho is not None:
                 assert 0.0 <= rho <= 1.0
 
-    def test_error_and_margin_equals_the_separate_calls(self):
+    def test_evaluate_equals_prefix_rates_and_brute_force_margin(self):
         for seed in range(10):
             ds = noisy_dataset(seed + 90, m=9, n=2)
             ens = train_adaboost(ds, 4, PerceptronConfig(epochs=2, seed=seed)).ensemble
-            assert error_and_margin(ens, ds) == (
-                misclassification_rate(ens, ds),
-                l1_margin(ens, ds),
-            )
+            staged, rho = evaluate(ens, ds)
+            assert staged.tolist() == [
+                misclassification_rate(Ensemble(ens.rounds[:t]), ds) for t in range(1, 5)
+            ]
+            brute = min(abs(ensemble_score(ens, x)) for x in ds.features)
+            assert rho == (None if ens.alpha_total == 0.0 else brute / ens.alpha_total)
         ds = Dataset(features=np.array([[1.0]]), labels=np.array([-1.0]))
         ens = Ensemble((make_round([1.0], 0.0, epsilon=0.5),))
-        assert error_and_margin(ens, ds) == (1.0, None)
+        staged, rho = evaluate(ens, ds)
+        assert (staged.tolist(), rho) == ([1.0], None)
 
 
 class TestScaleInvariance:

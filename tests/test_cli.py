@@ -301,3 +301,25 @@ class TestPlotCommand:
         out = tmp_path / "p"
         assert run(["plot", "--data", a / "m-sweep.csv", "--out", out]) == 0
         assert (out / "m-sweep.svg").read_bytes() == (a / "m-sweep.svg").read_bytes()
+
+    @pytest.mark.parametrize(
+        "column, text, message",
+        [
+            (3, "5x0", "invalid literal for int() with base 10: '5x0'"),
+            (7, "abc", "could not convert string to float: 'abc'"),
+            (10, "0.5", "delta_r must equal test_error - train_error exactly"),
+        ],
+    )
+    def test_malformed_row_names_file_and_row(self, tmp_path, capsys, column, text, message):
+        assert run(TINY_SWEEP + ["--out", tmp_path / "a"]) == 0
+        header, first, second, third = (
+            (tmp_path / "a" / "m-sweep.csv").read_text().splitlines()
+        )
+        cells = second.split(",")
+        cells[column] = text
+        bad = tmp_path / "bad.csv"
+        # the blank line still counts, so the broken row is line 4 of the file
+        bad.write_text("\n".join([header, "", first, ",".join(cells), third]) + "\n")
+        capsys.readouterr()
+        assert run(["plot", "--data", bad, "--out", tmp_path / "p"]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: row 4: {message}\n"

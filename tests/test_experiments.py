@@ -152,7 +152,7 @@ class TestDimensionSweep:
         # epsilon_boost returns +inf for a zero or undefined margin before it
         # compares d with e*m, so this d=10 > e*3 cell is applicable and every
         # inapplicable record carries a margin, which SweepResult.of counts on.
-        monkeypatch.setattr(sweeps, "error_and_margin", lambda ensemble, data: (0.25, rho))
+        monkeypatch.setattr(sweeps, "evaluate", lambda ensemble, data: (np.array([0.25]), rho))
         result = run_dimension_sweep(3, 10, 10, 1, 0.05, 42, workers=1, **FAST)
         (record,) = result.records
         assert record.applicable
@@ -186,6 +186,36 @@ class TestIterationSweep:
             assert rec.params.seed == 7
             g = rec.gap_report
             assert g.delta_r == g.test_error - g.train_error
+
+    @pytest.mark.parametrize("workers, n_repeats, expected", [(64, 2, 2), (2, 3, 2)])
+    def test_pool_gets_at_most_one_worker_per_cell(
+        self, monkeypatch, workers, n_repeats, expected
+    ):
+        seen = []
+
+        class InProcessPool:
+            """Records max_workers and runs the cells here; starts no process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                seen.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, specs):
+                return [fn(s) for s in specs]
+
+        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", InProcessPool)
+        pooled = run_iteration_sweep(3, 6, 4, n_repeats, 7, epochs=2, workers=workers)
+        assert seen == [expected]
+        serial = run_iteration_sweep(3, 6, 4, n_repeats, 7, epochs=2, workers=1)
+        assert [r.gap_report for r in pooled.records] == [
+            r.gap_report for r in serial.records
+        ]
 
     def test_means_average_fresh_repeats(self):
         # With a single repeat the mean curve is that repeat's staged curve.
