@@ -58,10 +58,14 @@ class GapReport:
     holds: bool
 
     def __post_init__(self) -> None:
-        if self.delta_r != self.test_error - self.train_error:
+        if self.delta_r != gap(self.train_error, self.test_error):
             raise ValueError("delta_r must equal test_error - train_error exactly")
-        if math.isinf(self.epsilon_boost) and not self.holds:
-            raise ValueError("an infinite ceiling always holds")
+        if self.holds != (self.delta_r <= self.epsilon_boost):
+            raise ValueError(
+                f"holds={str(self.holds).lower()} contradicts delta_r {self.delta_r!r} "
+                f"and epsilon_boost {self.epsilon_boost!r} (an infinite ceiling "
+                "always holds, a NaN one never does)"
+            )
 
 
 def epsilon_boost(inp: BoundInput) -> float:

@@ -196,6 +196,8 @@ def _resolve(ns: argparse.Namespace) -> dict:
         if value is None:
             value = defaults.get(flag)
         resolved[flag.replace("-", "_")] = value
+    if resolved.get("workers", 1) < 1:
+        raise UsageError(f"--workers must be at least 1, got {resolved['workers']}")
     return resolved
 
 
@@ -323,7 +325,7 @@ def _synthetic_sweep(cfg: dict, axis: str, fixed: int, common: dict) -> SweepRes
 def _cmd_exp(cfg: dict) -> None:
     mode = cfg["mode"]
     out_dir = _prepare_out(cfg)
-    common = dict(epochs=cfg["epochs"], workers=cfg["workers"] or 1)
+    common = dict(epochs=cfg["epochs"], workers=cfg["workers"])
     if mode == "t-sweep":
         result = run_iteration_sweep(
             cfg["d"], cfg["m"], cfg["t_max"], cfg["repeats"], cfg["seed"], **common

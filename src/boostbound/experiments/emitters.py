@@ -66,6 +66,12 @@ def emit_csv(result: SweepResult, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _parse_bool(name: str, text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"{name} must be true or false, got {text!r}")
+    return text == "true"
+
+
 def load_records_csv(path: str | Path) -> SweepResult:
     """Read a sweep CSV back into records (wall times are not stored).
 
@@ -89,7 +95,7 @@ def load_records_csv(path: str | Path) -> SweepResult:
                 delta_r=float(cells[10]),
                 rho=None if math.isnan(rho) else rho,
                 epsilon_boost=float(cells[11]),
-                holds=cells[12] == "true",
+                holds=_parse_bool("holds", cells[12]),
             )
             records.append(
                 RunRecord(
@@ -104,7 +110,7 @@ def load_records_csv(path: str | Path) -> SweepResult:
                     ),
                     gap_report=report,
                     wall_time_ms=0,
-                    applicable=cells[13] == "true",
+                    applicable=_parse_bool("applicable", cells[13]),
                 )
             )
         except ValueError as exc:

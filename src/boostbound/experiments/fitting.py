@@ -1,14 +1,16 @@
-"""Display polynomials: least-squares fits on inputs rescaled to [-1, 1].
+"""Display polynomials: exact least-squares fits on inputs rescaled to [-1, 1].
 
-Raw Vandermonde systems at order 10 are catastrophically ill-conditioned
-for x ranges like 10..10000, so inputs are mapped affinely onto [-1, 1]
-and the system is solved with an SVD-based least-squares routine instead
-of the normal equations.
+The normal equations are solved in rational arithmetic and each coefficient
+is rounded to double once, so a fit depends on neither the conditioning of
+the order-10 system nor any BLAS or LAPACK kernel. In p = 2x - lo - hi, exact
+for every double x, they are a Hankel system of the moments sum(n * p**j) and
+sum(y * p**j), positive definite given order + 1 distinct x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -53,21 +55,28 @@ def polyfit(points: Sequence[tuple[float, float]], order: int = DEFAULT_FIT_ORDE
     """Least-squares polynomial of the given order through (x, y) points."""
     if order < 1:
         raise ValueError("order must be positive")
-    xs = np.array([p[0] for p in points], dtype=np.float64)
-    ys = np.array([p[1] for p in points], dtype=np.float64)
-    distinct = np.unique(xs)
-    if distinct.size < order + 1:
+    groups: dict[float, tuple[int, Fraction]] = {}  # x -> (count, sum of y)
+    for x, y in points:
+        n, s = groups.get(float(x), (0, Fraction(0)))
+        groups[float(x)] = (n + 1, s + Fraction(float(y)))
+    if len(groups) < order + 1:
         raise ValueError(
-            f"need at least {order + 1} points with distinct x, got {distinct.size}"
+            f"need at least {order + 1} points with distinct x, got {len(groups)}"
         )
-    lo, hi = float(distinct[0]), float(distinct[-1])
-    fit = PolyFit(coefficients=np.zeros(order + 1), order=order, x_scale=(lo, hi))
-    if np.all(ys == ys[0]):
-        # Exactly constant: lstsq would give a line of rounding noise whose
-        # bytes depend on the BLAS kernel.
-        coeffs = np.r_[ys[0], np.zeros(order)]
-    else:
-        u = fit.rescale(xs)
-        vandermonde = np.vander(u, order + 1, increasing=True)
-        coeffs, *_ = np.linalg.lstsq(vandermonde, ys, rcond=None)
-    return PolyFit(coefficients=coeffs, order=order, x_scale=(lo, hi))
+    lo, hi = min(groups), max(groups)
+    k = order + 1
+    moments, rhs = [Fraction(0)] * (2 * k - 1), [Fraction(0)] * k
+    for x, (n, s) in groups.items():
+        p = 2 * Fraction(x) - Fraction(lo) - Fraction(hi)
+        powers = [p**j for j in range(2 * k - 1)]
+        moments = [a + n * b for a, b in zip(moments, powers)]
+        rhs = [a + s * b for a, b in zip(rhs, powers)]
+    system = [moments[i : i + k] + [rhs[i]] for i in range(k)]
+    for i, pivot in enumerate(system):  # Gauss-Jordan; every pivot is positive
+        for row in system:
+            if row is not pivot:
+                f = row[i] / pivot[i]
+                row[i:] = [a - f * b for a, b in zip(row[i:], pivot[i:])]
+    span = Fraction(hi) - Fraction(lo)  # c_j of p**j is c_j * span**j of u
+    coeffs = [float(row[k] / row[j] * span**j) for j, row in enumerate(system)]
+    return PolyFit(coefficients=np.array(coeffs), order=order, x_scale=(lo, hi))

@@ -6,9 +6,10 @@ runs through one function, ``_run_cell``:
 
   * data  - ``_cell_data`` returns its (train, test) pair: synthetic data
             of dimension d-1 split into two halves of m rows; a seeded
-            m-row subsample of a real train half (real m-sweep); the top
-            d-1 importance-ordered columns of both real halves (real
-            d-sweep); or the ``train`` command's loaded halves as they are;
+            m-row subsample of a real train half (real m-sweep); the d-1
+            most important columns of both real halves, in importance
+            order (real d-sweep); or the ``train`` command's loaded halves
+            as they are;
   * train - T boosting rounds on the train half;
   * score - one ``boosting.evaluate`` pass per half gives the staged train
             and test errors over rounds 1..T and the training margin rho.
@@ -91,15 +92,15 @@ def _cell_error(spec: CellSpec, exc: Exception) -> RuntimeError:
     )
 
 
-# The real-data halves cells draw from; _map_cells sets them in this process
-# or in each pool worker.
-_REAL_CONTEXT: dict[str, Dataset] = {}
+# The real-data halves cells draw from, and a real d-sweep's column ranking;
+# _map_cells sets them in this process or in each pool worker.
+_REAL_CONTEXT: dict = {}
 
 
-def _set_real_context(pair: SplitPair | None) -> None:
+def _set_real_context(pair: SplitPair | None, ranking: list[int] | None = None) -> None:
     _REAL_CONTEXT.clear()
     if pair is not None:
-        _REAL_CONTEXT.update(train=pair.train, test=pair.test)
+        _REAL_CONTEXT.update(train=pair.train, test=pair.test, ranking=ranking)
 
 
 def _cell_data(spec: CellSpec) -> tuple[Dataset, Dataset]:
@@ -124,7 +125,7 @@ def _cell_data(spec: CellSpec) -> tuple[Dataset, Dataset]:
         )
         return subsample, test
     if spec.experiment_id == _REAL_D:
-        keep = list(range(spec.d - 1))  # context features arrive importance-ordered
+        keep = _REAL_CONTEXT["ranking"][: spec.d - 1]
         return select_features(train, keep), select_features(test, keep)
     if spec.experiment_id == _TRAIN:
         return train, test
@@ -174,17 +175,20 @@ def _verdict(spec: CellSpec, cell: tuple) -> RunRecord:
 
 
 def _map_cells(
-    specs: Sequence[CellSpec], workers: int, pair: SplitPair | None = None
+    specs: Sequence[CellSpec],
+    workers: int,
+    pair: SplitPair | None = None,
+    ranking: list[int] | None = None,
 ) -> list:
-    """Run ``_run_cell`` on ``pair``'s halves and return the results in spec
-    order, never arrival order.
+    """Run ``_run_cell`` on ``pair``'s halves (and a d-sweep's column
+    ``ranking``) and return the results in spec order, never arrival order.
 
     A pool gets at most one worker per cell, and the cells largest first
     (cost m * T * epochs, ties in spec order), so the longest cell does not
     start last and leave the other workers idle (LPT scheduling, Graham 1969).
     """
     if workers <= 1 or len(specs) <= 1:
-        _set_real_context(pair)
+        _set_real_context(pair, ranking)
         try:
             return [_run_cell(s) for s in specs]
         finally:
@@ -196,7 +200,7 @@ def _map_cells(
     with ProcessPoolExecutor(
         max_workers=min(workers, len(specs)),
         initializer=_set_real_context,
-        initargs=(pair,),
+        initargs=(pair, ranking),
     ) as pool:
         for i, result in zip(order, pool.map(_run_cell, [specs[i] for i in order])):
             results[i] = result
@@ -243,12 +247,13 @@ def _sweep(
     epochs: int,
     workers: int,
     pair: SplitPair | None = None,
+    ranking: list[int] | None = None,
 ) -> SweepResult:
     """Gap vs bound at every (m, d) grid point, n_repeats cells each."""
     specs = _cell_specs(
         experiment_id, source, points, delta, master_seed, n_repeats, n_rounds, epochs
     )
-    cells = _map_cells(specs, workers, pair)
+    cells = _map_cells(specs, workers, pair, ranking)
     return SweepResult.of([_verdict(s, c) for s, c in zip(specs, cells)])
 
 
@@ -409,7 +414,7 @@ def run_real_data(
         raise ValueError("empty grid")
     if n_repeats < 1:  # before the d-sweep's ranking fit
         raise ValueError("n_repeats must be at least 1")
-    train_half, test_half = pair.train, pair.test
+    train_half = pair.train
     n_features = train_half.n_features
 
     if mode == "m-sweep":
@@ -442,15 +447,11 @@ def run_real_data(
             seed=derive_seed(master_seed, _NS_SWEEP, 1),
             epochs=epochs,
         )
-        order = rank_features(_train_on(rank_spec, train_half), n_features)
-        ordered = SplitPair(
-            train=select_features(train_half, order),
-            test=select_features(test_half, order),
-        )
+        ranking = rank_features(_train_on(rank_spec, train_half), n_features)
         points = [(train_half.n_rows, d) for d in grid]
         return _sweep(
             _REAL_D, SOURCE_REAL, points, delta, master_seed,
-            n_repeats, n_rounds, epochs, workers, ordered,
+            n_repeats, n_rounds, epochs, workers, pair, ranking,
         )
 
     raise ValueError(f"unknown real-data mode {mode!r}")

@@ -40,6 +40,17 @@ class TestExitCodes:
         assert run(["bound", "--d", "5", "--m", "100"]) == 1
         assert "--rho" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one(self, capsys, tmp_path, workers):
+        flag = TINY_SWEEP[:-1] + [workers]  # TINY_SWEEP ends with --workers 1
+        config = tmp_path / "config"
+        config.write_text(f"workers = {workers}\n")
+        for args in (flag, TINY_SWEEP[:2] + ["--config", config]):
+            assert run(args + ["--out", tmp_path / "o"]) == 1
+            err = capsys.readouterr().err
+            assert f"usage error: --workers must be at least 1, got {workers}\n" in err
+        assert not (tmp_path / "o").exists()
+
     def test_runtime_failure_is_two(self, capsys, tmp_path):
         code = run(["plot", "--data", tmp_path / "missing.csv", "--out", tmp_path])
         assert code == 2
@@ -307,7 +318,15 @@ class TestPlotCommand:
         [
             (3, "5x0", "invalid literal for int() with base 10: '5x0'"),
             (7, "abc", "could not convert string to float: 'abc'"),
+            (9, "inf", "test_error inf outside [0, 1]"),
             (10, "0.5", "delta_r must equal test_error - train_error exactly"),
+            (
+                11, "0.001",
+                "holds=true contradicts delta_r 0.4 and epsilon_boost 0.001 "
+                "(an infinite ceiling always holds, a NaN one never does)",
+            ),
+            (12, "TRUE", "holds must be true or false, got 'TRUE'"),
+            (13, "TRUE", "applicable must be true or false, got 'TRUE'"),
         ],
     )
     def test_malformed_row_names_file_and_row(self, tmp_path, capsys, column, text, message):

@@ -1,6 +1,8 @@
 """Sweep orchestration, polynomial fits, CSV/SVG emitters, feature ranking."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from boostbound.experiments import (
     run_sample_size_sweep,
 )
 from boostbound.bound import GapReport
+from boostbound.data import load_csv_split
 from boostbound.experiments import sweeps
 from boostbound.rng import make_rng
 
@@ -297,6 +300,29 @@ class TestRealData:
         assert full.records[0].params.d == 5
         assert full.records[0].applicable
 
+    def test_d_sweep_holds_no_reordered_copy_of_the_halves(self, tmp_path):
+        # A cell at d = n + 1 copies every column of both halves (1x their
+        # bytes) and fits on its train half (about 1.25x more in the fit's
+        # temporaries); an importance-ordered copy of both halves held for
+        # the whole sweep would add another 1x.
+        n = 20
+        ds = self.real_dataset(m=4000, n=n)
+        lines = ["label," + ",".join(ds.feature_names)] + [
+            ("1" if y > 0 else "0") + "," + ",".join(format(v, ".17g") for v in row)
+            for y, row in zip(ds.labels, ds.features)
+        ]
+        path = tmp_path / "real.csv"
+        path.write_text("\n".join(lines) + "\n")
+        pair = load_csv_split(path, "label", "1", real_split_seed(42))
+        held = pair.train.features.nbytes + pair.test.features.nbytes
+        tracemalloc.start()
+        try:
+            run_real_data(pair, "d-sweep", [n + 1], 0.05, 42, workers=1, **FAST)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.8 * held
+
     def test_d_sweep_rejects_too_many_features(self):
         ds = self.real_dataset(n=3)
         with pytest.raises(ValueError, match="features"):
@@ -407,9 +433,36 @@ class TestPolyfit:
             )
             assert float(np.sum((perturbed.evaluate(xs) - ys) ** 2)) >= best
 
+    def test_matches_a_naive_exact_solve_bit_for_bit(self):
+        # Small grids of integer x, some repeated, with dyadic y: the
+        # coefficients are the exact solution of V^T V c = V^T y in the
+        # rescaled variable u, each rounded to the nearest double once.
+        rng = make_rng(6)
+        for _ in range(25):
+            order = int(rng.integers(1, 5))
+            n_distinct = order + 1 + int(rng.integers(0, 4))
+            distinct = rng.choice(np.arange(-40, 41), n_distinct, replace=False)
+            xs = [int(x) for x in distinct] + [int(x) for x in rng.choice(distinct, 3)]
+            ys = [int(rng.integers(-2**20, 2**20)) / 2 ** int(rng.integers(0, 30)) for _ in xs]
+            lo, hi = min(xs), max(xs)
+            us = [Fraction(2 * x - lo - hi, hi - lo) for x in xs]
+            k = order + 1
+            a = [[sum(u ** (i + j) for u in us) for j in range(k)] for i in range(k)]
+            b = [sum(Fraction(y) * u**i for u, y in zip(us, ys)) for i in range(k)]
+            for i in range(k):
+                for r in range(i + 1, k):
+                    f = a[r][i] / a[i][i]
+                    a[r] = [v - f * w for v, w in zip(a[r], a[i])]
+                    b[r] -= f * b[i]
+            c = [Fraction(0)] * k
+            for i in reversed(range(k)):
+                c[i] = (b[i] - sum(a[i][j] * c[j] for j in range(i + 1, k))) / a[i][i]
+            fit = polyfit([(float(x), y) for x, y in zip(xs, ys)], order=order)
+            assert fit.coefficients.tolist() == [float(v) for v in c]
+
     def test_constant_data_gives_the_exact_constant(self):
-        # A flat sweep: lstsq alone would leave rounding noise, which the
-        # SVG's y-range would stretch over the plot.
+        # A flat sweep: any rounding noise in the fit would be stretched
+        # over the plot by the SVG's y-range.
         y = 0.009999999999999995
         fit = polyfit([(2.0, y), (12.0, y), (22.0, y)], order=2)
         assert fit.evaluate(np.linspace(2.0, 22.0, 200)).tolist() == [y] * 200
