@@ -4,10 +4,10 @@ Each round fits a perceptron against the current sample distribution,
 computes its weighted error eps, the vote weight alpha = 0.5*ln((1-eps)/eps)
 and normalizer z = 2*sqrt(eps*(1-eps)), then reweights the sample. Rounds
 worse than chance are negated (``flipped``) so eps <= 1/2 and alpha >= 0
-always; eps is clamped to a configurable floor so alpha stays finite on
-separable data. The new distribution is normalized by its empirical sum
-rather than the closed-form z, which keeps it a probability vector even on
-clamped rounds.
+always; eps is clamped to the fixed floor ``EPSILON_FLOOR`` so alpha stays
+finite on separable data. The new distribution is normalized by its
+empirical sum rather than the closed-form z, which keeps it a probability
+vector even on clamped rounds.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .perceptron import (
 )
 from .rng import derive_seed
 
-DEFAULT_EPSILON_FLOOR = 1e-10
+EPSILON_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,6 @@ def train_adaboost(
     train: Dataset,
     n_rounds: int,
     weak_config: PerceptronConfig,
-    epsilon_floor: float = DEFAULT_EPSILON_FLOOR,
 ) -> TrainTrace:
     """Run the boosting loop for ``n_rounds`` rounds.
 
@@ -127,14 +126,12 @@ def train_adaboost(
     (weak_config.seed, t), so a longer run is an exact extension of a
     shorter one. A round whose raw weighted error exceeds 1/2 has its
     hypothesis negated and its error replaced by 1 - eps; the error is
-    then clamped into [epsilon_floor, 1/2] before alpha and z.
+    then clamped into [EPSILON_FLOOR, 1/2] before alpha and z.
     """
     if train.n_rows < 1:
         raise ValueError("training dataset is empty")
     if n_rounds < 1:
         raise ValueError("n_rounds must be at least 1")
-    if not 0.0 < epsilon_floor < 0.5:
-        raise ValueError("epsilon_floor must lie in (0, 0.5)")
 
     dist = Distribution.uniform(train.n_rows)
     distributions = [dist]
@@ -148,7 +145,7 @@ def train_adaboost(
         if flipped:
             predictions = -predictions
             raw_epsilon = 1.0 - raw_epsilon
-        epsilon = min(max(raw_epsilon, epsilon_floor), 0.5)
+        epsilon = min(max(raw_epsilon, EPSILON_FLOOR), 0.5)
         alpha = compute_alpha(epsilon)
         z = compute_z(epsilon)
         dist = update_distribution(dist, alpha, predictions, train.labels)

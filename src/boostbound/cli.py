@@ -14,7 +14,6 @@ byte-for-byte. Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -218,13 +217,8 @@ def _prepare_out(cfg: dict) -> Path:
     return out_dir
 
 
-def _feature_header(n: int) -> list[str]:
-    return [f"x{j + 1}" for j in range(n)]
-
-
 def _write_dataset_csv(dataset: Dataset, path: Path) -> None:
-    names = list(dataset.feature_names or _feature_header(dataset.n_features))
-    lines = [",".join(["label"] + names)]
+    lines = [",".join(["label"] + [f"x{j + 1}" for j in range(dataset.n_features)])]
     for i in range(dataset.n_rows):
         cells = ["1" if dataset.labels[i] > 0 else "-1"]
         cells += [format(v, ".17g") for v in dataset.features[i]]
@@ -236,16 +230,8 @@ def _load_real_halves(cfg: dict, seed: int) -> SplitPair:
     """Load --data and split it with ``seed``; the target defaults to the
     first header cell."""
     _require(cfg, "data")
-    path = Path(cfg["data"])
-    target = cfg.get("target_column")
-    if target is None:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            header = next(csv.reader(fh), [])
-        if not header:
-            raise ValueError(f"{path}: empty header")
-        target = header[0].strip()
     positive = cfg.get("positive_value") or "1"
-    return load_csv_split(path, target, positive, seed)
+    return load_csv_split(cfg["data"], cfg.get("target_column"), positive, seed)
 
 
 def _cmd_gen(cfg: dict) -> None:

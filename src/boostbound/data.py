@@ -11,18 +11,14 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .rng import make_rng
-
-# Rows of CSV cells converted to floats at a time by the loader.
-_CHUNK_ROWS = 128
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
@@ -41,7 +37,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         features = _freeze(np.atleast_2d(self.features))
@@ -58,13 +53,6 @@ class Dataset:
             raise ValueError("features contain NaN or infinite entries")
         if not np.all(np.abs(labels) == 1.0):
             raise ValueError("every label must be exactly -1 or +1")
-        if self.feature_names is not None:
-            names = tuple(self.feature_names)
-            object.__setattr__(self, "feature_names", names)
-            if len(names) != features.shape[1]:
-                raise ValueError(
-                    f"feature_names length {len(names)} != column count {features.shape[1]}"
-                )
 
     @property
     def n_rows(self) -> int:
@@ -134,12 +122,7 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
     return Dataset(features=features, labels=labels)
 
 
-def _shuffle_halves(
-    features: np.ndarray,
-    labels: np.ndarray,
-    feature_names: Sequence[str] | None,
-    seed: int,
-) -> SplitPair:
+def _shuffle_halves(features: np.ndarray, labels: np.ndarray, seed: int) -> SplitPair:
     """Permute rows by a seeded permutation in place and cut into two halves.
 
     Takes ownership of ``features``, a writable C-contiguous matrix: its
@@ -156,8 +139,8 @@ def _shuffle_halves(
     labels = labels[perm]
     cut = (m + 1) // 2
     return SplitPair(
-        train=Dataset(features[:cut], labels[:cut], feature_names),
-        test=Dataset(features[cut:], labels[cut:], feature_names),
+        train=Dataset(features[:cut], labels[:cut]),
+        test=Dataset(features[cut:], labels[cut:]),
     )
 
 
@@ -167,35 +150,22 @@ def split_half(dataset: Dataset, seed: int) -> SplitPair:
     For odd sizes the extra row goes to train. The union of the two halves
     is exactly the source rows for every seed; the source is not modified.
     """
-    return _shuffle_halves(
-        dataset.features.copy(), dataset.labels, dataset.feature_names, seed
-    )
-
-
-def _count_line_breaks(path: Path) -> int:
-    """Line terminators (``\n``, ``\r`` or ``\r\n``) in the file's bytes.
-
-    A CSV record ends at one of these unless it is the last line, so this
-    bounds the number of records after the header. A ``\r\n`` split
-    across two reads counts twice, which keeps the bound an upper bound.
-    """
-    count = 0
-    buf = bytearray(1 << 20)
-    with open(path, "rb", buffering=0) as fh:
-        while n := fh.readinto(buf):
-            crlf = buf.count(b"\r\n", 0, n)
-            count += buf.count(b"\n", 0, n) + buf.count(b"\r", 0, n) - crlf
-    return count
+    return _shuffle_halves(dataset.features.copy(), dataset.labels, seed)
 
 
 def _parse_row(
     path: Path, line_no: int, names: Sequence[str], cells: Sequence[str]
 ) -> None:
     """Raise at the row's first feature cell that is not a finite real,
-    naming its row, column and text."""
+    naming its row, column and text.
+
+    A cell is read as ``np.loadtxt`` reads it: ``float(cell.strip())``,
+    less the digit-group underscores and non-ASCII digits ``float`` also takes.
+    """
     for name, cell in zip(names, cells):
+        text = cell.strip()
         try:
-            value = float(cell.strip())
+            value = float(text) if text.isascii() and "_" not in text else math.nan
         except ValueError:
             value = math.nan
         if not math.isfinite(value):
@@ -205,108 +175,98 @@ def _parse_row(
             )
 
 
-def _parse_rows(
-    path: Path,
-    names: Sequence[str],
-    line_nos: Sequence[int],
-    rows: Sequence[Sequence[str]],
-    out: np.ndarray,
-) -> None:
-    """Parse a chunk of rows' feature cells into ``out``, one row per row.
-
-    Every cell becomes ``float(cell.strip())`` in a single conversion over
-    the chunk. Only a chunk that fails is walked row by row, so the error
-    names the first bad cell in file order.
-    """
-    cells = map(str.strip, chain.from_iterable(rows))
-    try:
-        values = np.fromiter(map(float, cells), np.float64, out.size)
-    except ValueError:
-        pass
-    else:
-        if np.isfinite(values).all():
-            out[...] = values.reshape(out.shape)
-            return
-    for line_no, row in zip(line_nos, rows):
-        _parse_row(path, line_no, names, row)
-    raise RuntimeError(
-        f"{path}: rows {line_nos[0]}-{line_nos[-1]} failed to convert, "
-        "but no bad cell was found in them"
-    )
+def _raise_at_first_bad_row(path: Path, header: list[str], target_idx: int) -> None:
+    """Walk the data lines in file order and raise at the first one with the
+    wrong number of cells or a feature cell that is not a finite real."""
+    names = header[:target_idx] + header[target_idx + 1 :]
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for line_no, line in enumerate(fh, start=reader.line_num + 1):
+            if line.isspace():
+                continue
+            cells = next(csv.reader([line]))
+            if len(cells) != len(header):
+                raise ValueError(
+                    f"{path}: row {line_no} has {len(cells)} cells, expected {len(header)}"
+                )
+            del cells[target_idx]
+            _parse_row(path, line_no, names, cells)
 
 
 def _read_csv(
-    path: str | Path, target_column: str, positive_value: str
-) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """The still-writable ``(features, labels, feature_names)`` of :func:`load_csv`."""
+    path: str | Path, target_column: str | None, positive_value: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The still-writable ``(features, labels)`` of :func:`load_csv`."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    max_rows = _count_line_breaks(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: file is empty, expected a header row") from None
+        header = [h.strip() for h in next(reader, [])]
+        if not header:
+            raise ValueError(f"{path}: no header row")
+        target_column = header[0] if target_column is None else target_column
         if target_column not in header:
             raise ValueError(
                 f"{path}: target column {target_column!r} not in header {header}"
             )
         target_idx = header.index(target_column)
-        feature_names = tuple(h for i, h in enumerate(header) if i != target_idx)
-
-        features = np.empty((max_rows, len(feature_names)))
-        labels = np.empty(max_rows)
-        k = 0
-        line_nos: list[int] = []
-        rows: list[list[str]] = []
-
-        def flush() -> None:
-            _parse_rows(path, feature_names, line_nos, rows, features[k - len(rows) : k])
-            line_nos.clear()
-            rows.clear()
-
-        for line_no, cells in enumerate(reader, start=2):
-            if not cells or (len(cells) == 1 and cells[0].strip() == ""):
-                continue
-            if len(cells) != len(header):
-                flush()  # an earlier bad cell is reported first
-                raise ValueError(
-                    f"{path}: row {line_no} has {len(cells)} cells, expected {len(header)}"
+        error = None
+        with warnings.catch_warnings():
+            # a header with no data rows is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                table = np.loadtxt(
+                    (line for line in fh if not line.isspace()),
+                    delimiter=",",
+                    comments=None,
+                    quotechar='"',
+                    ndmin=2,
+                    converters={
+                        target_idx: lambda c: 1.0 if c.strip() == positive_value else -1.0
+                    },
                 )
-            target = cells.pop(target_idx)
-            labels[k] = 1.0 if target.strip() == positive_value else -1.0
-            line_nos.append(line_no)
-            rows.append(cells)
-            k += 1
-            if len(rows) == _CHUNK_ROWS:
-                flush()
-        flush()
-
-    if k == 0:
+            except ValueError as exc:
+                error = exc
+    if error is None and len(table) == 0:
         raise ValueError(f"{path}: no data rows after the header")
-    return features[:k], labels[:k], feature_names
+    if error is not None or table.shape[1] != len(header) or not np.isfinite(table).all():
+        _raise_at_first_bad_row(path, header, target_idx)
+        raise ValueError(f"{path}: {error or 'unreadable data rows'}") from error
+
+    labels = table[:, target_idx].copy()
+    m, n = table.shape[0], table.shape[1] - 1
+    # Drop the target column in place, 128 rows at a time: row i moves to
+    # offset i * n of the buffer, never past where rows i + 1 onward are read.
+    features = table.reshape(-1)[: m * n].reshape(m, n)
+    for start in range(0, m, 128):
+        block = table[start : start + 128]
+        features[start : start + len(block)] = np.delete(block, target_idx, axis=1)
+    return features, labels
 
 
-def load_csv(path: str | Path, target_column: str, positive_value: str) -> Dataset:
+def load_csv(
+    path: str | Path, target_column: str | None = None, positive_value: str = "1"
+) -> Dataset:
     """Read a headered CSV into a Dataset.
 
-    Target cells equal to ``positive_value`` map to +1, everything else to
-    -1. All other columns must parse as finite decimal reals and become
-    features in header order. Rows are reported 1-based counting the
-    header as row 1.
+    Target cells equal to ``positive_value`` after stripping map to +1,
+    everything else to -1; the target defaults to the first header cell.
+    All other columns must parse as finite decimal reals and become
+    features in header order. Whitespace-only lines are skipped. Rows are
+    reported 1-based counting the header as row 1.
 
-    The file is read twice: once in binary to bound the row count, then
-    once through ``csv.reader`` into preallocated float64 arrays. Cells
-    are converted a chunk of at most ``_CHUNK_ROWS`` rows at a time, so
-    only that chunk's cell strings are held beside the arrays.
+    The data lines go through one ``np.loadtxt`` pass into a float64 table
+    of every column, and the target column is then dropped in place, so
+    loading holds about the table itself. Only a file that fails is read
+    again, row by row, to name its first bad row or cell in file order.
     """
     return Dataset(*_read_csv(path, target_column, positive_value))
 
 
 def load_csv_split(
-    path: str | Path, target_column: str, positive_value: str, seed: int
+    path: str | Path, target_column: str | None, positive_value: str, seed: int
 ) -> SplitPair:
     """``split_half(load_csv(path, ...), seed)``, without a second copy.
 
@@ -326,11 +286,4 @@ def select_features(dataset: Dataset, column_indices: Sequence[int]) -> Dataset:
             raise ValueError(f"column index {i} out of range for {n} features")
     if len(set(indices)) != len(indices):
         raise ValueError(f"duplicate column indices in {indices}")
-    names = None
-    if dataset.feature_names is not None:
-        names = tuple(dataset.feature_names[i] for i in indices)
-    return Dataset(
-        features=dataset.features[:, indices],
-        labels=dataset.labels,
-        feature_names=names,
-    )
+    return Dataset(features=dataset.features[:, indices], labels=dataset.labels)

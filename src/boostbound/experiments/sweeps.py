@@ -118,12 +118,7 @@ def _cell_data(spec: CellSpec) -> tuple[Dataset, Dataset]:
         rows = make_rng(derive_seed(spec.seed, 3)).choice(
             train.n_rows, size=spec.m, replace=False
         )
-        subsample = Dataset(
-            features=train.features[rows],
-            labels=train.labels[rows],
-            feature_names=train.feature_names,
-        )
-        return subsample, test
+        return Dataset(features=train.features[rows], labels=train.labels[rows]), test
     if spec.experiment_id == _REAL_D:
         keep = _REAL_CONTEXT["ranking"][: spec.d - 1]
         return select_features(train, keep), select_features(test, keep)

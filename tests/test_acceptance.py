@@ -357,10 +357,7 @@ def test_c10_sweep_determinism_across_workers(tmp_path):
 
 
 def _load_heart_dataset(path: Path) -> Dataset:
-    target = os.environ.get("BOOSTBOUND_HEART_TARGET")
-    if target is None:
-        with open(path, "r", encoding="utf-8") as fh:
-            target = fh.readline().strip().split(",")[0].strip()
+    target = os.environ.get("BOOSTBOUND_HEART_TARGET")  # default: the first column
     positive = os.environ.get("BOOSTBOUND_HEART_POSITIVE", "1")
     dataset = load_csv(path, target_column=target, positive_value=positive)
     if np.all(dataset.labels == -1.0) and positive == "1":
@@ -379,11 +376,7 @@ def test_c11_real_data_m_sweep():
     dataset = _load_heart_dataset(path)
     if dataset.n_rows > 20_000:
         rows = make_rng(MASTER_SEED).choice(dataset.n_rows, size=20_000, replace=False)
-        dataset = Dataset(
-            features=dataset.features[rows],
-            labels=dataset.labels[rows],
-            feature_names=dataset.feature_names,
-        )
+        dataset = Dataset(features=dataset.features[rows], labels=dataset.labels[rows])
     grid = list(range(50, 10_001, 250))
     grid = [m for m in grid if m <= (dataset.n_rows + 1) // 2]
     result = run_real_data(

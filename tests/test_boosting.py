@@ -261,8 +261,6 @@ class TestTrainAdaboost:
         ds = noisy_dataset(1, m=4)
         with pytest.raises(ValueError):
             train_adaboost(ds, 0, PerceptronConfig(seed=0))
-        with pytest.raises(ValueError):
-            train_adaboost(ds, 1, PerceptronConfig(seed=0), epsilon_floor=0.6)
 
 
 class TestEnsembleEvaluation:

@@ -56,6 +56,12 @@ class TestExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_empty_data_file_names_it(self, capsys, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        assert run(["exp", "real-m", "--data", empty, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == f"error: {empty}: no header row\n"
+
 
 class TestBoundCommand:
     def test_prints_bound_value(self, capsys):

@@ -254,13 +254,8 @@ def halves(ds, master_seed=42):
 
 class TestRealData:
     def real_dataset(self, m=120, n=4, seed=13):
-        ds = generate_synthetic(
+        return generate_synthetic(
             SyntheticConfig(n_features=n, m_total=m, class_sep=1.0, seed=seed)
-        )
-        return Dataset(
-            features=ds.features,
-            labels=ds.labels,
-            feature_names=tuple(f"c{j}" for j in range(n)),
         )
 
     def test_m_sweep_counts_and_sizes(self):
@@ -307,7 +302,7 @@ class TestRealData:
         # the whole sweep would add another 1x.
         n = 20
         ds = self.real_dataset(m=4000, n=n)
-        lines = ["label," + ",".join(ds.feature_names)] + [
+        lines = ["label," + ",".join(f"c{j}" for j in range(n))] + [
             ("1" if y > 0 else "0") + "," + ",".join(format(v, ".17g") for v in row)
             for y, row in zip(ds.labels, ds.features)
         ]
