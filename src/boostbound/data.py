@@ -243,7 +243,10 @@ def _read_csv(
     for start in range(0, m, 128):
         block = table[start : start + 128]
         features[start : start + len(block)] = np.delete(block, target_idx, axis=1)
-    return features, labels
+    # Free the buffer's dead tail; resize refuses while any view is alive.
+    del features, block
+    table.resize(m * n)
+    return table.reshape(m, n), labels
 
 
 def load_csv(

@@ -209,7 +209,9 @@ def emit_svg(
         fit_pts = list(zip(grid, fit.evaluate(np.array(grid)).tolist()))
     y_all = ys + [y for _, y in fit_pts]
     y_lo, y_hi = min(y_all), max(y_all)
-    if y_hi == y_lo:
+    # A span within rounding of |y| is flat: plotting it would stretch the
+    # last bits of delta_r and of the fit over the whole y-axis.
+    if y_hi - y_lo <= 1e-12 * max(abs(y_lo), abs(y_hi)):
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad

@@ -79,9 +79,9 @@ def fit_perceptron(
     Before the epochs the fit precomputes the update rows ``step[i] * x_i``
     (the same elementwise products a visit would form), the steps and
     labels as Python floats, and a list of row views. A visit scores with
-    ``row.dot(w)``, the same ``ddot`` over the same contiguous row as
-    ``x_i @ w``, so the weights and bias are bit for bit those of the
-    per-visit loop that ``tests/test_perceptron.py`` keeps as its oracle.
+    ``row.dot(w)``, one ``ddot`` per row as in :func:`predict_many`, so the
+    weights and bias are bit for bit those of the per-visit loop that
+    ``tests/test_perceptron.py`` keeps as its oracle.
     """
     X, y = train.features, train.labels
     m, n = X.shape
@@ -108,22 +108,21 @@ def fit_perceptron(
 def predict(model: PerceptronModel, x: np.ndarray) -> int:
     """Classify one point: sign(weights . x + bias) with sign(0) = +1."""
     x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape[0] != model.weights.shape[0]:
-        raise ValueError(
-            f"input dimension {x.shape[0]} != model dimension {model.weights.shape[0]}"
-        )
-    score = float(x @ model.weights) + model.bias
-    return 1 if score >= 0.0 else -1
+    return int(predict_many(model, x[None, :])[0])
 
 
 def predict_many(model: PerceptronModel, features: np.ndarray) -> np.ndarray:
-    """Vectorized predict over a feature matrix; returns a float vector of +/-1."""
+    """Vectorized predict over a feature matrix; returns a float vector of +/-1.
+
+    ``np.vecdot`` scores each row with the fit's single-threaded ``ddot``, so
+    the scores are the fit's bit for bit, whatever the BLAS thread count.
+    """
     if features.shape[1] != model.weights.shape[0]:
         raise ValueError(
             f"input dimension {features.shape[1]} != model dimension "
             f"{model.weights.shape[0]}"
         )
-    scores = features @ model.weights + model.bias
+    scores = np.vecdot(features, model.weights) + model.bias
     return np.where(scores >= 0.0, 1.0, -1.0)
 
 

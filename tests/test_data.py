@@ -387,6 +387,19 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.features, table[:, 1:])
         assert peak <= 2 * (ds.features.nbytes + ds.labels.nbytes)
 
+    @pytest.mark.parametrize(
+        "text, shape",
+        [("t,a,b\n1,0.5,2\n0,1.5,3\n1,2.5,4\n", (3, 2)), ("t\n1\n0\n1\n", (3, 0))],
+        ids=["features", "target-only"],
+    )
+    def test_features_buffer_holds_exactly_m_by_n_doubles(self, tmp_path, text, shape):
+        ds = load_csv(self.write(tmp_path, text))
+        buffer = ds.features
+        while buffer.base is not None:
+            buffer = buffer.base
+        assert ds.features.shape == shape
+        assert buffer.nbytes == shape[0] * shape[1] * 8
+
 
 def csv_text(n_rows, newline="\n", blank_at=None):
     lines = ["t,a,b"] + [f"{i % 3 == 0:d},{i / 4},{-i}" for i in range(n_rows)]

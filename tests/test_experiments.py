@@ -1,8 +1,10 @@
 """Sweep orchestration, polynomial fits, CSV/SVG emitters, feature ranking."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -551,6 +553,19 @@ class TestEmitters:
         emit_svg(result, fit, curve, a)
         emit_svg(result, fit, curve, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_near_flat_sweep_draws_a_flat_fit_and_distinct_ticks(self, tmp_path):
+        # delta_r differ only in the last bits (0.11 - 0.1 against 0.31 - 0.3)
+        result = load_records_csv(Path(__file__).parent / "golden" / "real-d-near.csv")
+        assert len({r.gap_report.delta_r for r in result.records}) > 1
+        fit, curve = default_figure(result)
+        path = tmp_path / "near.svg"
+        emit_svg(result, fit, curve, path)
+        text = path.read_text()
+        ticks = re.findall(r'text-anchor="end" dominant-baseline="middle">([^<]*)<', text)
+        assert len(ticks) == 5 and len(set(ticks)) == 5
+        fit_line = re.search(r'stroke="#2ca02c"[^>]*points="([^"]*)"', text).group(1)
+        assert len({pt.split(",")[1] for pt in fit_line.split()}) == 1
 
     def test_empty_sweep_rejected(self, tmp_path):
         empty = SweepResult(records=(), confidence=None, inapplicable_count=0)

@@ -15,8 +15,8 @@ in every row (its ensembles all predict the majority class of a 9%-positive
 CSV); ``plot-flat`` pins that such a sweep gets an exactly constant fit.
 ``real-d-near.csv`` is a real-d sweep whose delta_r differ only in the last
 bits (0.0967 - 0.0867, 0.11 - 0.1 and 0.31 - 0.3); ``plot-near`` pins that
-its fit, which the y-range stretches over the whole plot, is the exact
-least-squares fit and so the same under every BLAS kernel.
+such a sweep is drawn as flat, with one horizontal fit line, the same under
+every BLAS kernel.
 
 ``python tests/test_golden.py`` rewrites the goldens from the current code.
 Do that only in a change that means to alter output bytes, and say so in

@@ -91,6 +91,40 @@ class TestPredict:
         scaled = predict(PerceptronModel(weights=scale * w, bias=scale * b), x)
         assert base == scaled
 
+    def test_exact_ties_score_like_the_fit(self):
+        # 2,001 rows: odd, and past the size where OpenBLAS threads a gemv,
+        # whose last bits differ from the fit's per-row ddot.
+        rng = make_rng(11)
+        X = rng.standard_normal((2001, 21))
+        w = rng.standard_normal(21)
+        for i in rng.choice(2001, size=40, replace=False).tolist():
+            model = PerceptronModel(weights=w, bias=-X[i].dot(w))
+            got = predict_many(model, X)
+            assert got[i] == 1.0
+            want = [1.0 if row.dot(w) + model.bias >= 0.0 else -1.0 for row in X]
+            assert got.tolist() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        m=st.integers(1, 300),
+        n=st.integers(1, 40),
+        integer=st.booleans(),
+    )
+    def test_predict_many_matches_per_row_oracle(self, seed, m, n, integer):
+        rng = make_rng(seed)
+        if integer:
+            X = rng.integers(-2, 3, size=(m, n)).astype(float)
+            w = rng.integers(-2, 3, size=n).astype(float)
+        else:
+            X = rng.standard_normal((m, n))
+            w = rng.standard_normal(n)
+        model = PerceptronModel(weights=w, bias=-X[rng.integers(m)].dot(w))
+        got = predict_many(model, X)
+        assert got.tolist() == [1.0 if row.dot(w) + model.bias >= 0.0 else -1.0 for row in X]
+        for x, g in zip(X, got):
+            assert predict(model, x) == predict_many(model, x[None])[0] == g
+
 
 class TestDistribution:
     def test_uniform(self):
