@@ -17,11 +17,6 @@ from .boosting import (
     TrainTrace,
     compute_alpha,
     compute_z,
-    ensemble_predict,
-    ensemble_score,
-    l1_margin,
-    misclassification_rate,
-    staged_misclassification_rates,
     train_adaboost,
     update_distribution,
 )
@@ -39,9 +34,7 @@ from .perceptron import (
     PerceptronConfig,
     PerceptronModel,
     fit_perceptron,
-    predict,
     predict_many,
-    weighted_error,
 )
 from .rng import derive_seed, make_rng
 

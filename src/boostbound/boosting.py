@@ -68,15 +68,9 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class TrainTrace:
-    """Full training record: D_1..D_{T+1} plus the final ensemble."""
+    """What :func:`train_adaboost` returns: the final ensemble."""
 
-    distributions: tuple[Distribution, ...]
     ensemble: Ensemble
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "distributions", tuple(self.distributions))
-        if len(self.distributions) != len(self.ensemble.rounds) + 1:
-            raise ValueError("expected one distribution per round plus the initial one")
 
 
 def compute_alpha(epsilon: float) -> float:
@@ -134,7 +128,6 @@ def train_adaboost(
         raise ValueError("n_rounds must be at least 1")
 
     dist = Distribution.uniform(train.n_rows)
-    distributions = [dist]
     rounds: list[BoostRound] = []
     for t in range(n_rounds):
         round_config = replace(weak_config, seed=derive_seed(weak_config.seed, t))
@@ -149,31 +142,16 @@ def train_adaboost(
         alpha = compute_alpha(epsilon)
         z = compute_z(epsilon)
         dist = update_distribution(dist, alpha, predictions, train.labels)
-        distributions.append(dist)
         rounds.append(
             BoostRound(hypothesis=model, alpha=alpha, epsilon=epsilon, z=z, flipped=flipped)
         )
-    return TrainTrace(distributions=tuple(distributions), ensemble=Ensemble(tuple(rounds)))
+    return TrainTrace(ensemble=Ensemble(tuple(rounds)))
 
 
 def round_predictions(round_: BoostRound, features: np.ndarray) -> np.ndarray:
     """The round's +/-1 votes on a feature matrix, flip applied."""
     h = predict_many(round_.hypothesis, features)
     return -h if round_.flipped else h
-
-
-def ensemble_score(ens: Ensemble, x: np.ndarray) -> float:
-    """sum_t alpha_t * h_t(x) for a single point, accumulated in round order."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    score = 0.0
-    for r in ens.rounds:
-        score += r.alpha * float(round_predictions(r, x)[0])
-    return score
-
-
-def ensemble_predict(ens: Ensemble, x: np.ndarray) -> int:
-    """Sign of the ensemble score, with sign(0) = +1."""
-    return 1 if ensemble_score(ens, x) >= 0.0 else -1
 
 
 def evaluate(ens: Ensemble, data: Dataset) -> tuple[np.ndarray, float | None]:
@@ -199,17 +177,3 @@ def evaluate(ens: Ensemble, data: Dataset) -> tuple[np.ndarray, float | None]:
     rho = None if total == 0.0 else float(np.min(np.abs(scores))) / total
     return staged, rho
 
-
-def misclassification_rate(ens: Ensemble, data: Dataset) -> float:
-    """Fraction of rows where the full ensemble's vote disagrees with the label."""
-    return float(evaluate(ens, data)[0][-1])
-
-
-def l1_margin(ens: Ensemble, data: Dataset) -> float | None:
-    """The full ensemble's L1 margin on ``data`` (see :func:`evaluate`)."""
-    return evaluate(ens, data)[1]
-
-
-def staged_misclassification_rates(trace: TrainTrace, data: Dataset) -> np.ndarray:
-    """Misclassification rate of every prefix ensemble, rounds 1..T."""
-    return evaluate(trace.ensemble, data)[0]

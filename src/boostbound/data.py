@@ -194,6 +194,17 @@ def _raise_at_first_bad_row(path: Path, header: list[str], target_idx: int) -> N
             _parse_row(path, line_no, names, cells)
 
 
+def _drop_column(table: np.ndarray, column: int) -> None:
+    """Pack every row of ``table`` less ``column`` into the front of its
+    buffer, 128 rows at a time: with n kept columns, row i moves to offset
+    i * n, never past where rows i + 1 onward are read."""
+    m, n = table.shape[0], table.shape[1] - 1
+    packed = table.reshape(-1)[: m * n].reshape(m, n)
+    for start in range(0, m, 128):
+        block = table[start : start + 128]
+        packed[start : start + len(block)] = np.delete(block, column, axis=1)
+
+
 def _read_csv(
     path: str | Path, target_column: str | None, positive_value: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -237,15 +248,12 @@ def _read_csv(
 
     labels = table[:, target_idx].copy()
     m, n = table.shape[0], table.shape[1] - 1
-    # Drop the target column in place, 128 rows at a time: row i moves to
-    # offset i * n of the buffer, never past where rows i + 1 onward are read.
-    features = table.reshape(-1)[: m * n].reshape(m, n)
-    for start in range(0, m, 128):
-        block = table[start : start + 128]
-        features[start : start + len(block)] = np.delete(block, target_idx, axis=1)
-    # Free the buffer's dead tail; resize refuses while any view is alive.
-    del features, block
-    table.resize(m * n)
+    _drop_column(table, target_idx)
+    # Free the buffer's dead tail. No view of ``table`` outlives _drop_column,
+    # so skipping resize's reference check is safe; the check would refuse
+    # under a trace or profile hook (pdb, cProfile, coverage), whose snapshot
+    # of this frame's locals holds one more reference to ``table``.
+    table.resize(m * n, refcheck=False)
     return table.reshape(m, n), labels
 
 

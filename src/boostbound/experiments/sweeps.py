@@ -179,8 +179,9 @@ def _map_cells(
     ``ranking``) and return the results in spec order, never arrival order.
 
     A pool gets at most one worker per cell, and the cells largest first
-    (cost m * T * epochs, ties in spec order), so the longest cell does not
-    start last and leave the other workers idle (LPT scheduling, Graham 1969).
+    (cost m * T * epochs * d, ties in spec order), so the longest cell does
+    not start last and leave the other workers idle (LPT scheduling, Graham
+    1969). A sweep varies only m or only d, so the cost needs no constant.
     """
     if workers <= 1 or len(specs) <= 1:
         _set_real_context(pair, ranking)
@@ -189,7 +190,8 @@ def _map_cells(
         finally:
             _set_real_context(None)
     order = sorted(
-        range(len(specs)), key=lambda i: -specs[i].m * specs[i].T * specs[i].epochs
+        range(len(specs)),
+        key=lambda i: -specs[i].m * specs[i].T * specs[i].epochs * specs[i].d,
     )
     results = [None] * len(specs)
     with ProcessPoolExecutor(

@@ -105,12 +105,6 @@ def fit_perceptron(
     return PerceptronModel(weights=w, bias=b)
 
 
-def predict(model: PerceptronModel, x: np.ndarray) -> int:
-    """Classify one point: sign(weights . x + bias) with sign(0) = +1."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    return int(predict_many(model, x[None, :])[0])
-
-
 def predict_many(model: PerceptronModel, features: np.ndarray) -> np.ndarray:
     """Vectorized predict over a feature matrix; returns a float vector of +/-1.
 
@@ -124,15 +118,6 @@ def predict_many(model: PerceptronModel, features: np.ndarray) -> np.ndarray:
         )
     scores = np.vecdot(features, model.weights) + model.bias
     return np.where(scores >= 0.0, 1.0, -1.0)
-
-
-def weighted_error(model: PerceptronModel, data: Dataset, dist: Distribution) -> float:
-    """Probability of misclassification under the distribution."""
-    if dist.probabilities.shape[0] != data.n_rows:
-        raise ValueError(
-            f"distribution length {dist.probabilities.shape[0]} != row count {data.n_rows}"
-        )
-    return error_mass(dist, predict_many(model, data.features), data.labels)
 
 
 def error_mass(dist: Distribution, predictions: np.ndarray, labels: np.ndarray) -> float:

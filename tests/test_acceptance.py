@@ -17,19 +17,18 @@ import pytest
 from boostbound import (
     BoundInput,
     Dataset,
+    Distribution,
     PerceptronConfig,
     SyntheticConfig,
-    ensemble_predict,
     epsilon_boost,
     generate_synthetic,
-    l1_margin,
     load_csv,
-    misclassification_rate,
+    predict_many,
     split_half,
     train_adaboost,
-    weighted_error,
+    update_distribution,
 )
-from boostbound.boosting import BoostRound, Ensemble
+from boostbound.boosting import BoostRound, Ensemble, evaluate, round_predictions
 from boostbound.cli import dispatch
 from boostbound.experiments import (
     real_split_seed,
@@ -38,6 +37,7 @@ from boostbound.experiments import (
     run_real_data,
     run_sample_size_sweep,
 )
+from boostbound.perceptron import error_mass
 from boostbound.rng import make_rng
 
 MASTER_SEED = 20260810
@@ -63,9 +63,23 @@ def dimension_sweeps():
     return r500, r2000
 
 
+def replay_distributions(trace, data):
+    """D_1..D_{T+1} of a trace trained on ``data``: D_1 is uniform and each
+    next one is the loop's own update by the round's alpha and votes."""
+    dist = Distribution.uniform(data.n_rows)
+    dists = [dist]
+    for r in trace.ensemble.rounds:
+        dist = update_distribution(
+            dist, r.alpha, round_predictions(r, data.features), data.labels
+        )
+        dists.append(dist)
+    return dists
+
+
 @pytest.fixture(scope="session")
 def random_boosting_runs():
-    """200 boosted runs with m <= 200, T <= 20 on varied synthetic data."""
+    """200 boosted runs with m <= 200, T <= 20 on varied synthetic data, each
+    with its replayed distributions."""
     runs = []
     rng = make_rng(MASTER_SEED)
     for k in range(200):
@@ -85,7 +99,7 @@ def random_boosting_runs():
         trace = train_adaboost(
             data, t, PerceptronConfig(epochs=epochs, seed=int(rng.integers(0, 2**32)))
         )
-        runs.append((data, trace))
+        runs.append((data, trace, replay_distributions(trace, data)))
     return runs
 
 
@@ -140,8 +154,8 @@ def test_c04_gap_independent_of_round_count():
 def test_c05_distributions_normalized(random_boosting_runs):
     worst = 0.0
     negatives = 0
-    for _, trace in random_boosting_runs:
-        for dist in trace.distributions:
+    for _, _, dists in random_boosting_runs:
+        for dist in dists:
             p = dist.probabilities
             worst = max(worst, abs(float(np.sum(p)) - 1.0))
             negatives += int(np.any(p < 0.0))
@@ -149,7 +163,7 @@ def test_c05_distributions_normalized(random_boosting_runs):
         "C05", "distribution-normalization",
         worst <= 1e-9 and negatives == 0,
         f"max |sum-1|={worst:.2e} <= 1e-9 over "
-        f"{sum(len(t.distributions) for _, t in random_boosting_runs)} distributions, "
+        f"{sum(len(d) for _, _, d in random_boosting_runs)} distributions, "
         f"negative-entry traces={negatives}",
     )
 
@@ -157,9 +171,9 @@ def test_c05_distributions_normalized(random_boosting_runs):
 def test_c06_z_identity_on_unclamped_rounds(random_boosting_runs):
     checked = 0
     worst = 0.0
-    for data, trace in random_boosting_runs:
+    for data, trace, dists in random_boosting_runs:
         for t, r in enumerate(trace.ensemble.rounds):
-            raw = weighted_error(r.hypothesis, data, trace.distributions[t])
+            raw = error_mass(dists[t], predict_many(r.hypothesis, data.features), data.labels)
             effective = 1.0 - raw if r.flipped else raw
             if effective != r.epsilon:
                 continue  # clamped round, closed form does not apply
@@ -171,7 +185,7 @@ def test_c06_z_identity_on_unclamped_rounds(random_boosting_runs):
                 preds = -preds
             empirical = float(
                 np.sum(
-                    trace.distributions[t].probabilities
+                    dists[t].probabilities
                     * np.exp(-r.alpha * data.labels * preds)
                 )
             )
@@ -194,9 +208,21 @@ def brute_force_score(ens, x):
     return total
 
 
-def test_c07_oracle_equivalence_of_ensemble_operations():
-    from boostbound import ensemble_score
+def ensemble_score(ens, x):
+    """sum_t alpha_t * h_t(x) for a single point, accumulated in round order."""
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    score = 0.0
+    for r in ens.rounds:
+        score += r.alpha * float(round_predictions(r, x)[0])
+    return score
 
+
+def ensemble_predict(ens, x):
+    """Sign of the ensemble score, with sign(0) = +1."""
+    return 1 if ensemble_score(ens, x) >= 0.0 else -1
+
+
+def test_c07_oracle_equivalence_of_ensemble_operations():
     rng = make_rng(MASTER_SEED + 7)
     mismatches = []
     for k in range(100):
@@ -226,7 +252,8 @@ def test_c07_oracle_equivalence_of_ensemble_operations():
             )
             / data.n_rows
         )
-        if misclassification_rate(ens, data) != brute_rate:
+        staged, rho = evaluate(ens, data)
+        if staged[-1] != brute_rate:
             mismatches.append((k, "rate", None))
         total = sum(abs(r.alpha) for r in ens.rounds)
         if total == 0.0:
@@ -235,7 +262,7 @@ def test_c07_oracle_equivalence_of_ensemble_operations():
             brute_margin = min(
                 abs(brute_force_score(ens, data.features[i])) for i in range(data.n_rows)
             ) / total
-        if l1_margin(ens, data) != brute_margin:
+        if rho != brute_margin:
             mismatches.append((k, "margin", None))
     report(
         "C07", "ensemble-operations-match-brute-force",
@@ -294,7 +321,7 @@ def test_c09_vote_weight_scale_invariance():
             PerceptronConfig(epochs=2, seed=int(rng.integers(0, 2**32))),
         )
         base = trace.ensemble
-        rho_base = l1_margin(base, data)
+        rho_base = evaluate(base, data)[1]
         for c in (0.5, 3.0):
             scaled = Ensemble(
                 tuple(
@@ -310,7 +337,7 @@ def test_c09_vote_weight_scale_invariance():
                     scaled, data.features[i]
                 ):
                     failures.append((k, c, "prediction", i))
-            rho_scaled = l1_margin(scaled, data)
+            rho_scaled = evaluate(scaled, data)[1]
             if rho_base is None or rho_scaled is None:
                 if rho_base is not rho_scaled:
                     failures.append((k, c, "margin-none", None))

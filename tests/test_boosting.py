@@ -17,17 +17,12 @@ from boostbound import (
     PerceptronModel,
     compute_alpha,
     compute_z,
-    ensemble_predict,
-    ensemble_score,
-    l1_margin,
-    misclassification_rate,
-    predict,
-    staged_misclassification_rates,
+    predict_many,
     train_adaboost,
     update_distribution,
-    weighted_error,
 )
-from boostbound.boosting import evaluate
+from boostbound.boosting import evaluate, round_predictions
+from boostbound.perceptron import error_mass
 from boostbound.rng import make_rng
 
 # High-precision anchors (mpmath, 50 digits, rounded to double).
@@ -40,6 +35,38 @@ def noisy_dataset(seed, m=12, n=2):
     X = rng.standard_normal((m, n))
     y = np.where(rng.standard_normal(m) >= 0, 1.0, -1.0)
     return Dataset(features=X, labels=y)
+
+
+def ensemble_score(ens, x):
+    """sum_t alpha_t * h_t(x) for a single point, accumulated in round order."""
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    score = 0.0
+    for r in ens.rounds:
+        score += r.alpha * float(round_predictions(r, x)[0])
+    return score
+
+
+def ensemble_predict(ens, x):
+    """Sign of the ensemble score, with sign(0) = +1."""
+    return 1 if ensemble_score(ens, x) >= 0.0 else -1
+
+
+def replay_distributions(trace, data):
+    """D_1..D_{T+1} of a trace trained on ``data``: D_1 is uniform and each
+    next one is the loop's own update by the round's alpha and votes."""
+    dist = Distribution.uniform(data.n_rows)
+    dists = [dist]
+    for r in trace.ensemble.rounds:
+        dist = update_distribution(
+            dist, r.alpha, round_predictions(r, data.features), data.labels
+        )
+        dists.append(dist)
+    return dists
+
+
+def raw_error(round_, data, dist):
+    """Weighted error of the round's unflipped hypothesis under ``dist``."""
+    return error_mass(dist, predict_many(round_.hypothesis, data.features), data.labels)
 
 
 def make_round(weights, bias, epsilon=0.25, flipped=False):
@@ -154,7 +181,7 @@ class TestTrainAdaboost:
         (round_,) = trace.ensemble.rounds
         sign = -1 if round_.flipped else 1
         for i in range(ds.n_rows):
-            weak = sign * predict(round_.hypothesis, ds.features[i])
+            weak = sign * predict_many(round_.hypothesis, ds.features[i : i + 1])[0]
             ens = ensemble_predict(trace.ensemble, ds.features[i])
             if round_.alpha > 0:
                 assert ens == weak
@@ -164,7 +191,7 @@ class TestTrainAdaboost:
     def test_separable_pair_reaches_zero_training_error(self):
         ds = Dataset(features=np.array([[1.0], [-1.0]]), labels=np.array([1.0, -1.0]))
         trace = train_adaboost(ds, 5, PerceptronConfig(epochs=10, seed=1))
-        assert misclassification_rate(trace.ensemble, ds) == 0.0
+        assert evaluate(trace.ensemble, ds)[0][-1] == 0.0
         # brute-force verification of sign(f) per point
         for i in range(2):
             assert ensemble_predict(trace.ensemble, ds.features[i]) == ds.labels[i]
@@ -178,7 +205,7 @@ class TestTrainAdaboost:
             assert r.epsilon == 0.5
             assert r.alpha == 0.0
             assert r.z == 1.0
-        for d in trace.distributions:
+        for d in replay_distributions(trace, ds):
             np.testing.assert_array_equal(d.probabilities, [0.5, 0.5])
 
     def test_flip_policy_recorded_and_applied(self):
@@ -188,21 +215,23 @@ class TestTrainAdaboost:
         trace = train_adaboost(ds, 8, PerceptronConfig(epochs=1, seed=0))
         flipped = [t for t, r in enumerate(trace.ensemble.rounds) if r.flipped]
         assert flipped == [2, 4, 6]
+        dists = replay_distributions(trace, ds)
         for t, r in enumerate(trace.ensemble.rounds):
             assert r.epsilon <= 0.5
             assert r.alpha >= 0.0
             # the recorded epsilon is the error of the (possibly negated)
             # hypothesis under D_t
-            raw = weighted_error(r.hypothesis, ds, trace.distributions[t])
+            raw = raw_error(r, ds, dists[t])
             effective = 1.0 - raw if r.flipped else raw
             assert r.epsilon == max(min(effective, 0.5), 1e-10)
 
     def test_distribution_invariants_along_trace(self):
         ds = noisy_dataset(7, m=20, n=3)
         trace = train_adaboost(ds, 10, PerceptronConfig(epochs=3, seed=2))
-        assert len(trace.distributions) == 11
-        np.testing.assert_array_equal(trace.distributions[0].probabilities, np.full(20, 0.05))
-        for d in trace.distributions:
+        dists = replay_distributions(trace, ds)
+        assert len(dists) == 11
+        np.testing.assert_array_equal(dists[0].probabilities, np.full(20, 0.05))
+        for d in dists:
             assert np.all(d.probabilities >= 0.0)
             assert abs(float(np.sum(d.probabilities)) - 1.0) <= 1e-9
 
@@ -211,12 +240,13 @@ class TestTrainAdaboost:
         for seed in range(6):
             ds = noisy_dataset(seed + 50, m=16, n=2)
             trace = train_adaboost(ds, 8, PerceptronConfig(epochs=2, seed=seed))
+            dists = replay_distributions(trace, ds)
             for t, r in enumerate(trace.ensemble.rounds):
-                raw = weighted_error(r.hypothesis, ds, trace.distributions[t])
+                raw = raw_error(r, ds, dists[t])
                 effective = 1.0 - raw if r.flipped else raw
                 if effective != r.epsilon:
                     continue  # clamped round: identity does not apply
-                d = trace.distributions[t].probabilities
+                d = dists[t].probabilities
                 preds = np.where(
                     ds.features @ r.hypothesis.weights + r.hypothesis.bias >= 0, 1.0, -1.0
                 )
@@ -235,7 +265,7 @@ class TestTrainAdaboost:
         for ra, rb in zip(a.ensemble.rounds, b.ensemble.rounds):
             np.testing.assert_array_equal(ra.hypothesis.weights, rb.hypothesis.weights)
             assert (ra.alpha, ra.epsilon, ra.z, ra.flipped) == (rb.alpha, rb.epsilon, rb.z, rb.flipped)
-        for da, db in zip(a.distributions, b.distributions):
+        for da, db in zip(replay_distributions(a, ds), replay_distributions(b, ds)):
             np.testing.assert_array_equal(da.probabilities, db.probabilities)
 
     def test_prefix_property_matches_shorter_training(self):
@@ -252,10 +282,10 @@ class TestTrainAdaboost:
         ds = noisy_dataset(13, m=18, n=2)
         cfg = PerceptronConfig(epochs=2, seed=6)
         trace = train_adaboost(ds, 6, cfg)
-        staged = staged_misclassification_rates(trace, ds)
+        staged = evaluate(trace.ensemble, ds)[0]
         for t in range(1, 7):
             prefix = Ensemble(trace.ensemble.rounds[:t])
-            assert staged[t - 1] == misclassification_rate(prefix, ds)
+            assert staged[t - 1] == evaluate(prefix, ds)[0][-1]
 
     def test_rejects_bad_arguments(self):
         ds = noisy_dataset(1, m=4)
@@ -299,7 +329,7 @@ class TestEnsembleEvaluation:
             x = rng.standard_normal(3)
             brute = 0.0
             for r in rounds:
-                h = float(predict(r.hypothesis, x))
+                h = float(predict_many(r.hypothesis, x[None, :])[0])
                 if r.flipped:
                     h = -h
                 brute += r.alpha * h
@@ -309,8 +339,8 @@ class TestEnsembleEvaluation:
         ds = Dataset(features=np.array([[1.0], [-1.0]]), labels=np.array([1.0, -1.0]))
         right = Ensemble((make_round([1.0], 0.0),))
         wrong = Ensemble((make_round([-1.0], -1.0),))
-        assert misclassification_rate(right, ds) == 0.0
-        assert misclassification_rate(wrong, ds) == 1.0
+        assert evaluate(right, ds)[0][-1] == 0.0
+        assert evaluate(wrong, ds)[0][-1] == 1.0
 
     def test_misclassification_matches_brute_force(self):
         rng = make_rng(41)
@@ -321,21 +351,21 @@ class TestEnsembleEvaluation:
             tuple(make_round(rng.standard_normal(2), 0.0, epsilon=0.3) for _ in range(3))
         )
         count = sum(1 for i in range(10) if ensemble_predict(ens, X[i]) != y[i])
-        assert misclassification_rate(ens, ds) == count / 10
+        assert evaluate(ens, ds)[0][-1] == count / 10
 
 
 class TestL1Margin:
     def test_single_round_unit_margin(self):
         ds = Dataset(features=np.array([[2.0]]), labels=np.array([1.0]))
         ens = Ensemble((make_round([1.0], 0.0, epsilon=1.0 / (1.0 + math.e**2)),))
-        assert l1_margin(ens, ds) == pytest.approx(1.0, rel=1e-12)
+        assert evaluate(ens, ds)[1] == pytest.approx(1.0, rel=1e-12)
 
     def test_two_round_arithmetic(self):
         # alpha=(1,2), votes (+1,-1): |1-2| / 3 = 1/3
         r1 = make_round([1.0], 0.0, epsilon=1.0 / (1.0 + math.e**2))
         r2 = make_round([-1.0], 0.0, epsilon=1.0 / (1.0 + math.e**4))
         ds = Dataset(features=np.array([[2.0]]), labels=np.array([1.0]))
-        assert l1_margin(Ensemble((r1, r2)), ds) == pytest.approx(1 / 3, rel=1e-12)
+        assert evaluate(Ensemble((r1, r2)), ds)[1] == pytest.approx(1 / 3, rel=1e-12)
 
     def test_matches_brute_force_minimum(self):
         rng = make_rng(51)
@@ -347,18 +377,18 @@ class TestL1Margin:
         )
         total = sum(r.alpha for r in ens.rounds)
         brute = min(abs(ensemble_score(ens, X[i])) for i in range(8)) / total
-        assert l1_margin(ens, ds) == brute
+        assert evaluate(ens, ds)[1] == brute
 
     def test_zero_alpha_means_undefined(self):
         ds = Dataset(features=np.array([[1.0]]), labels=np.array([1.0]))
         ens = Ensemble((make_round([1.0], 0.0, epsilon=0.5),))
-        assert l1_margin(ens, ds) is None
+        assert evaluate(ens, ds)[1] is None
 
     def test_within_unit_interval(self):
         for seed in range(10):
             ds = noisy_dataset(seed + 90, m=9, n=2)
             trace = train_adaboost(ds, 4, PerceptronConfig(epochs=2, seed=seed))
-            rho = l1_margin(trace.ensemble, ds)
+            rho = evaluate(trace.ensemble, ds)[1]
             if rho is not None:
                 assert 0.0 <= rho <= 1.0
 
@@ -368,7 +398,9 @@ class TestL1Margin:
             ens = train_adaboost(ds, 4, PerceptronConfig(epochs=2, seed=seed)).ensemble
             staged, rho = evaluate(ens, ds)
             assert staged.tolist() == [
-                misclassification_rate(Ensemble(ens.rounds[:t]), ds) for t in range(1, 5)
+                sum(ensemble_predict(Ensemble(ens.rounds[:t]), x) != y
+                    for x, y in zip(ds.features, ds.labels)) / ds.n_rows
+                for t in range(1, 5)
             ]
             brute = min(abs(ensemble_score(ens, x)) for x in ds.features)
             assert rho == (None if ens.alpha_total == 0.0 else brute / ens.alpha_total)
@@ -402,7 +434,7 @@ class TestScaleInvariance:
             assert ensemble_predict(base, ds.features[i]) == ensemble_predict(
                 scaled, ds.features[i]
             )
-        rho_a, rho_b = l1_margin(base, ds), l1_margin(scaled, ds)
+        rho_a, rho_b = evaluate(base, ds)[1], evaluate(scaled, ds)[1]
         assert rho_a == pytest.approx(rho_b, rel=1e-12)
 
 

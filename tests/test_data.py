@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -435,6 +436,22 @@ class TestLoadCsvSplit:
             load_csv_split(path, "t", "1", seed=0)
         assert str(via_split.value) == str(via_load.value)
         assert "row 3" in str(via_split.value)
+
+    def test_loads_under_a_trace_hook(self, tmp_path):
+        # pdb, cProfile and coverage install a hook like this one; it holds
+        # one more reference to each frame's locals while it is set.
+        path = tmp_path / "data.csv"
+        path.write_text(csv_text(3), encoding="utf-8")
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: None)
+        try:
+            ds = load_csv(path, target_column="t", positive_value="1")
+            pair = load_csv_split(path, "t", "1", seed=3)
+        finally:
+            sys.settrace(previous)
+        np.testing.assert_array_equal(ds.features, [[0.0, 0.0], [0.25, -1.0], [0.5, -2.0]])
+        assert ds.features.base.nbytes == 3 * 2 * 8
+        assert sorted(pair.train.labels.tolist() + pair.test.labels.tolist()) == [-1, -1, 1]
 
     def test_peak_memory_is_about_the_halves(self, tmp_path):
         path = tmp_path / "data.csv"

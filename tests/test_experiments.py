@@ -12,7 +12,6 @@ import pytest
 from boostbound import (
     BoundInput,
     Dataset,
-    Distribution,
     Ensemble,
     PerceptronModel,
     TrainTrace,
@@ -58,8 +57,34 @@ def tiny_m_sweep(**overrides):
     return run_sample_size_sweep(5, 10, 30, 10, 0.05, 42, **kwargs)
 
 
+def in_process_pool(monkeypatch):
+    """Replace the sweeps' process pool with one that runs the cells here, in
+    the order they are submitted, and starts no process. Returns the list of
+    (max_workers, submitted specs) of each pool made."""
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            self.submitted = []
+            pools.append((max_workers, self.submitted))
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, specs):
+            self.submitted.extend(specs)
+            return [fn(s) for s in specs]
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", InProcessPool)
+    return pools
+
+
 def make_trace(weight_rows, epsilons=None):
-    """Trace with hand-built rounds (uniform dummy distributions)."""
+    """Trace with hand-built rounds."""
     rounds = []
     epsilons = epsilons or [0.25] * len(weight_rows)
     for w, eps in zip(weight_rows, epsilons):
@@ -72,8 +97,7 @@ def make_trace(weight_rows, epsilons=None):
                 flipped=False,
             )
         )
-    dists = tuple(Distribution.uniform(4) for _ in range(len(rounds) + 1))
-    return TrainTrace(distributions=dists, ensemble=Ensemble(tuple(rounds)))
+    return TrainTrace(ensemble=Ensemble(tuple(rounds)))
 
 
 class TestSampleSizeSweep:
@@ -152,6 +176,17 @@ class TestDimensionSweep:
         assert not bad.gap_report.holds
         assert result.confidence == 1.0 or result.confidence == 0.0
 
+    def test_pool_starts_the_largest_d_first(self, monkeypatch):
+        # Every cell of a d-sweep has the same m, T and epochs.
+        serial = run_dimension_sweep(20, 2, 80, 26, 0.05, 42, workers=1, **FAST)
+        pools = in_process_pool(monkeypatch)
+        pooled = run_dimension_sweep(20, 2, 80, 26, 0.05, 42, workers=2, **FAST)
+        ((_, submitted),) = pools
+        assert [spec.d for spec in submitted] == [80, 54, 28, 2]
+        assert [(r.params, r.gap_report, r.applicable) for r in pooled.records] == [
+            (r.params, r.gap_report, r.applicable) for r in serial.records
+        ]
+
     @pytest.mark.parametrize("rho", [None, 0.0])
     def test_cell_past_e_m_without_a_margin_has_an_infinite_bound(self, monkeypatch, rho):
         # epsilon_boost returns +inf for a zero or undefined margin before it
@@ -196,27 +231,9 @@ class TestIterationSweep:
     def test_pool_gets_at_most_one_worker_per_cell(
         self, monkeypatch, workers, n_repeats, expected
     ):
-        seen = []
-
-        class InProcessPool:
-            """Records max_workers and runs the cells here; starts no process."""
-
-            def __init__(self, max_workers, initializer, initargs):
-                seen.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, specs):
-                return [fn(s) for s in specs]
-
-        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", InProcessPool)
+        pools = in_process_pool(monkeypatch)
         pooled = run_iteration_sweep(3, 6, 4, n_repeats, 7, epochs=2, workers=workers)
-        assert seen == [expected]
+        assert [max_workers for max_workers, _ in pools] == [expected]
         serial = run_iteration_sweep(3, 6, 4, n_repeats, 7, epochs=2, workers=1)
         assert [r.gap_report for r in pooled.records] == [
             r.gap_report for r in serial.records
@@ -227,9 +244,9 @@ class TestIterationSweep:
         from boostbound import (
             PerceptronConfig,
             split_half,
-            staged_misclassification_rates,
             train_adaboost,
         )
+        from boostbound.boosting import evaluate
         from boostbound.rng import derive_seed
 
         master = 11
@@ -242,8 +259,8 @@ class TestIterationSweep:
         trace = train_adaboost(
             pair.train, 4, PerceptronConfig(epochs=2, seed=derive_seed(cell_seed, 2))
         )
-        train_curve = staged_misclassification_rates(trace, pair.train)
-        test_curve = staged_misclassification_rates(trace, pair.test)
+        train_curve = evaluate(trace.ensemble, pair.train)[0]
+        test_curve = evaluate(trace.ensemble, pair.test)[0]
         for t, rec in enumerate(result.records):
             assert rec.gap_report.train_error == train_curve[t]
             assert rec.gap_report.test_error == test_curve[t]
@@ -355,10 +372,7 @@ class TestRankFeatures:
             z=compute_z(0.25),
             flipped=True,
         )
-        flipped = TrainTrace(
-            distributions=plain.distributions,
-            ensemble=Ensemble((flipped_round,)),
-        )
+        flipped = TrainTrace(ensemble=Ensemble((flipped_round,)))
         assert rank_features(plain, 2) == rank_features(flipped, 2) == [1, 0]
 
     def test_importances_sum_to_one(self):

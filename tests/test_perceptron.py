@@ -13,15 +13,19 @@ from boostbound import (
     PerceptronConfig,
     PerceptronModel,
     fit_perceptron,
-    predict,
     predict_many,
-    weighted_error,
 )
+from boostbound.perceptron import error_mass
 from boostbound.rng import make_rng
 
 
 def dataset(features, labels):
     return Dataset(features=np.array(features, float), labels=np.array(labels, float))
+
+
+def predict_one(model, x):
+    """The model's +/-1 vote on one point, through the batch scorer."""
+    return predict_many(model, x[None, :])[0]
 
 
 def replay_fit(X, y, step, visit_orders):
@@ -56,26 +60,26 @@ def oracle_problem(seed, m, n, integer):
 class TestPredict:
     def test_positive_side(self):
         model = PerceptronModel(weights=np.array([1.0, 0.0]), bias=0.0)
-        assert predict(model, np.array([2.0, 5.0])) == 1
+        assert predict_one(model, np.array([2.0, 5.0])) == 1
 
     def test_negative_side(self):
         model = PerceptronModel(weights=np.array([1.0, 0.0]), bias=0.0)
-        assert predict(model, np.array([-2.0, 5.0])) == -1
+        assert predict_one(model, np.array([-2.0, 5.0])) == -1
 
     def test_tie_breaks_positive(self):
         model = PerceptronModel(weights=np.array([1.0, -1.0]), bias=0.0)
-        assert predict(model, np.array([3.0, 3.0])) == 1
+        assert predict_one(model, np.array([3.0, 3.0])) == 1
 
     def test_zero_model_predicts_positive(self):
         model = PerceptronModel(weights=np.zeros(3), bias=0.0)
         for seed in range(5):
             x = make_rng(seed).standard_normal(3)
-            assert predict(model, x) == 1
+            assert predict_one(model, x) == 1
 
     def test_dimension_mismatch(self):
         model = PerceptronModel(weights=np.array([1.0]), bias=0.0)
         with pytest.raises(ValueError, match="dimension"):
-            predict(model, np.array([1.0, 2.0]))
+            predict_many(model, np.array([[1.0, 2.0]]))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -87,8 +91,8 @@ class TestPredict:
         w = rng.standard_normal(3)
         b = float(rng.standard_normal())
         x = rng.standard_normal(3)
-        base = predict(PerceptronModel(weights=w, bias=b), x)
-        scaled = predict(PerceptronModel(weights=scale * w, bias=scale * b), x)
+        base = predict_one(PerceptronModel(weights=w, bias=b), x)
+        scaled = predict_one(PerceptronModel(weights=scale * w, bias=scale * b), x)
         assert base == scaled
 
     def test_exact_ties_score_like_the_fit(self):
@@ -123,7 +127,7 @@ class TestPredict:
         got = predict_many(model, X)
         assert got.tolist() == [1.0 if row.dot(w) + model.bias >= 0.0 else -1.0 for row in X]
         for x, g in zip(X, got):
-            assert predict(model, x) == predict_many(model, x[None])[0] == g
+            assert predict_many(model, x[None])[0] == g
 
 
 class TestDistribution:
@@ -149,8 +153,8 @@ class TestFitPerceptron:
         model = fit_perceptron(
             train, Distribution.uniform(2), PerceptronConfig(epochs=10, seed=0)
         )
-        assert predict(model, np.array([1.0])) == 1
-        assert predict(model, np.array([-1.0])) == -1
+        assert predict_one(model, np.array([1.0])) == 1
+        assert predict_one(model, np.array([-1.0])) == -1
 
     def test_uniform_weights_match_classic_updates(self):
         # m * D(i) = 1 under the uniform distribution (m=4 keeps it exact),
@@ -259,28 +263,28 @@ class TestFitPerceptron:
 class TestWeightedError:
     def test_single_misclassified_mass(self):
         model = PerceptronModel(weights=np.array([0.0]), bias=1.0)  # always +1
-        data = dataset([[0.0], [0.0]], [1.0, -1.0])
-        err = weighted_error(model, data, Distribution(np.array([0.3, 0.7])))
+        preds = predict_many(model, np.zeros((2, 1)))
+        err = error_mass(Distribution(np.array([0.3, 0.7])), preds, np.array([1.0, -1.0]))
         assert err == pytest.approx(0.7, abs=1e-15)
 
     def test_perfect_model(self):
         model = PerceptronModel(weights=np.array([1.0]), bias=0.0)
-        data = dataset([[2.0], [-2.0]], [1.0, -1.0])
-        assert weighted_error(model, data, Distribution.uniform(2)) == 0.0
+        preds = predict_many(model, np.array([[2.0], [-2.0]]))
+        assert error_mass(Distribution.uniform(2), preds, np.array([1.0, -1.0])) == 0.0
 
     def test_matches_per_row_brute_force(self):
         rng = make_rng(3)
         X = rng.standard_normal((5, 2))
         y = np.where(rng.standard_normal(5) >= 0, 1.0, -1.0)
         model = PerceptronModel(weights=rng.standard_normal(2), bias=0.1)
-        err = weighted_error(model, dataset(X, y), Distribution.uniform(5))
-        mistakes = sum(1 for i in range(5) if predict(model, X[i]) != y[i])
+        err = error_mass(Distribution.uniform(5), predict_many(model, X), y)
+        mistakes = sum(1 for i in range(5) if predict_one(model, X[i]) != y[i])
         assert err == pytest.approx(mistakes / 5, abs=1e-15)
 
     def test_all_wrong_gives_one(self):
         model = PerceptronModel(weights=np.array([0.0]), bias=1.0)
-        data = dataset([[0.0], [0.0]], [-1.0, -1.0])
-        assert weighted_error(model, data, Distribution.uniform(2)) == 1.0
+        preds = predict_many(model, np.zeros((2, 1)))
+        assert error_mass(Distribution.uniform(2), preds, np.array([-1.0, -1.0])) == 1.0
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 500), m=st.integers(1, 20))
@@ -291,5 +295,5 @@ class TestWeightedError:
         y = np.where(rng.standard_normal(m) >= 0, 1.0, -1.0)
         model = PerceptronModel(weights=rng.standard_normal(2), bias=float(rng.standard_normal()))
         p = rng.uniform(0.01, 1.0, size=m)
-        err = weighted_error(model, dataset(X, y), Distribution(p / p.sum()))
+        err = error_mass(Distribution(p / p.sum()), predict_many(model, X), y)
         assert 0.0 <= err <= 1.0
