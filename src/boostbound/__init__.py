@@ -26,7 +26,6 @@ from .data import (
     generate_synthetic,
     load_csv,
     load_csv_split,
-    select_features,
     split_half,
 )
 from .perceptron import (

@@ -1,6 +1,6 @@
 """Datasets: synthetic two-cluster generation, CSV ingestion, splitting.
 
-A :class:`Dataset` is an immutable feature matrix with labels in {-1, +1}.
+A :class:`Dataset` is a read-only feature matrix with labels in {-1, +1}.
 Synthetic data comes from two isotropic unit-variance Gaussian clusters
 whose means sit at ``+/- class_sep * (1,...,1)/sqrt(n_features)`` (so the
 means are ``2 * class_sep`` apart in Euclidean norm), with independent
@@ -12,16 +12,19 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .rng import make_rng
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    if a.strides[-1] != a.itemsize:
+        a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
 
@@ -30,9 +33,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class Dataset:
     """Feature matrix (m rows x n columns) with labels in {-1, +1}.
 
-    Rows are immutable after construction; invalid labels, non-finite
-    features, or mismatched lengths are rejected here so downstream code
-    can rely on them.
+    Both arrays are read-only; a float64 matrix with contiguous rows, such
+    as ``X[:, :k]``, stays a view of its owner's buffer. Invalid labels,
+    non-finite features, or mismatched lengths are rejected here.
     """
 
     features: np.ndarray
@@ -288,13 +291,34 @@ def load_csv_split(
     return _shuffle_halves(*_read_csv(path, target_column, positive_value), seed)
 
 
-def select_features(dataset: Dataset, column_indices: Sequence[int]) -> Dataset:
-    """Keep only the given columns, in the given order; labels unchanged."""
-    indices = [int(i) for i in column_indices]
-    n = dataset.n_features
-    for i in indices:
-        if not 0 <= i < n:
-            raise ValueError(f"column index {i} out of range for {n} features")
-    if len(set(indices)) != len(indices):
-        raise ValueError(f"duplicate column indices in {indices}")
-    return Dataset(features=dataset.features[:, indices], labels=dataset.labels)
+@contextmanager
+def columns_in_order(pair: SplitPair, order: Sequence[int]) -> Iterator[SplitPair]:
+    """``pair`` with column ``order[j]`` of both halves at j, for the block.
+
+    Halves that are views of writable buffers, as ``load_csv_split``'s and
+    ``split_half``'s are, are permuted in place, 4,096 rows at a time, and
+    put back in a ``finally``, so the data is held once and the pair is
+    unchanged after the block. Other halves are copied in ``order``.
+    """
+    views = [h.features.view() for h in (pair.train, pair.test)]
+    try:
+        for view in views:
+            view.flags.writeable = True
+    except ValueError:  # the buffer's owner is read-only
+        in_place = False
+    else:
+        in_place = not np.shares_memory(*views)
+    if not in_place:
+        yield SplitPair(*(Dataset(h.features[:, order], h.labels) for h in (pair.train, pair.test)))
+        return
+
+    def permute(perm: np.ndarray) -> None:
+        for view in views:
+            for start in range(0, len(view), 4096):
+                view[start : start + 4096] = view[start : start + 4096, perm]
+
+    permute(np.asarray(order))
+    try:
+        yield pair
+    finally:
+        permute(np.argsort(order))

@@ -6,10 +6,10 @@ runs through one function, ``_run_cell``:
 
   * data  - ``_cell_data`` returns its (train, test) pair: synthetic data
             of dimension d-1 split into two halves of m rows; a seeded
-            m-row subsample of a real train half (real m-sweep); the d-1
-            most important columns of both real halves, in importance
-            order (real d-sweep); or the ``train`` command's loaded halves
-            as they are;
+            m-row subsample of a real train half (real m-sweep); views of
+            the first d-1 columns of both real halves, which the d-sweep
+            holds in importance order (real d-sweep); or the ``train``
+            command's loaded halves as they are;
   * train - T boosting rounds on the train half;
   * score - one ``boosting.evaluate`` pass per half gives the staged train
             and test errors over rounds 1..T and the training margin rho.
@@ -47,8 +47,8 @@ from ..data import (
     Dataset,
     SplitPair,
     SyntheticConfig,
+    columns_in_order,
     generate_synthetic,
-    select_features,
     split_half,
 )
 from ..perceptron import PerceptronConfig
@@ -92,15 +92,13 @@ def _cell_error(spec: CellSpec, exc: Exception) -> RuntimeError:
     )
 
 
-# The real-data halves cells draw from, and a real d-sweep's column ranking;
-# _map_cells sets them in this process or in each pool worker.
+# The real-data pair whose halves cells draw from; _map_cells sets it in this
+# process or in each pool worker.
 _REAL_CONTEXT: dict = {}
 
 
-def _set_real_context(pair: SplitPair | None, ranking: list[int] | None = None) -> None:
-    _REAL_CONTEXT.clear()
-    if pair is not None:
-        _REAL_CONTEXT.update(train=pair.train, test=pair.test, ranking=ranking)
+def _set_real_context(pair: SplitPair | None) -> None:
+    _REAL_CONTEXT["pair"] = pair
 
 
 def _cell_data(spec: CellSpec) -> tuple[Dataset, Dataset]:
@@ -113,23 +111,17 @@ def _cell_data(spec: CellSpec) -> tuple[Dataset, Dataset]:
         )
         pair = split_half(data, derive_seed(spec.seed, 1))
         return pair.train, pair.test
-    train, test = _REAL_CONTEXT["train"], _REAL_CONTEXT["test"]
+    train, test = _REAL_CONTEXT["pair"].train, _REAL_CONTEXT["pair"].test
     if spec.experiment_id == _REAL_M:
         rows = make_rng(derive_seed(spec.seed, 3)).choice(
             train.n_rows, size=spec.m, replace=False
         )
         return Dataset(features=train.features[rows], labels=train.labels[rows]), test
     if spec.experiment_id == _REAL_D:
-        keep = _REAL_CONTEXT["ranking"][: spec.d - 1]
-        return select_features(train, keep), select_features(test, keep)
+        return tuple(Dataset(h.features[:, : spec.d - 1], h.labels) for h in (train, test))
     if spec.experiment_id == _TRAIN:
         return train, test
     raise ValueError(f"no real-data cell for experiment {spec.experiment_id!r}")
-
-
-def _train_on(spec: CellSpec, train: Dataset) -> TrainTrace:
-    config = PerceptronConfig(epochs=spec.epochs, seed=derive_seed(spec.seed, 2))
-    return train_adaboost(train, spec.T, config)
 
 
 def _run_cell(spec: CellSpec) -> tuple[np.ndarray, np.ndarray, float | None, int]:
@@ -138,7 +130,8 @@ def _run_cell(spec: CellSpec) -> tuple[np.ndarray, np.ndarray, float | None, int
     t0 = time.perf_counter_ns()
     try:
         train, test = _cell_data(spec)
-        ensemble = _train_on(spec, train).ensemble
+        config = PerceptronConfig(epochs=spec.epochs, seed=derive_seed(spec.seed, 2))
+        ensemble = train_adaboost(train, spec.T, config).ensemble
         train_errors, rho = evaluate(ensemble, train)
         test_errors = evaluate(ensemble, test)[0]
     except Exception as exc:
@@ -169,14 +162,9 @@ def _verdict(spec: CellSpec, cell: tuple) -> RunRecord:
     )
 
 
-def _map_cells(
-    specs: Sequence[CellSpec],
-    workers: int,
-    pair: SplitPair | None = None,
-    ranking: list[int] | None = None,
-) -> list:
-    """Run ``_run_cell`` on ``pair``'s halves (and a d-sweep's column
-    ``ranking``) and return the results in spec order, never arrival order.
+def _map_cells(specs: Sequence[CellSpec], workers: int, pair: SplitPair | None = None) -> list:
+    """Run ``_run_cell`` on ``pair``'s halves and return the results in spec
+    order, never arrival order.
 
     A pool gets at most one worker per cell, and the cells largest first
     (cost m * T * epochs * d, ties in spec order), so the longest cell does
@@ -184,7 +172,7 @@ def _map_cells(
     1969). A sweep varies only m or only d, so the cost needs no constant.
     """
     if workers <= 1 or len(specs) <= 1:
-        _set_real_context(pair, ranking)
+        _set_real_context(pair)
         try:
             return [_run_cell(s) for s in specs]
         finally:
@@ -197,7 +185,7 @@ def _map_cells(
     with ProcessPoolExecutor(
         max_workers=min(workers, len(specs)),
         initializer=_set_real_context,
-        initargs=(pair, ranking),
+        initargs=(pair,),
     ) as pool:
         for i, result in zip(order, pool.map(_run_cell, [specs[i] for i in order])):
             results[i] = result
@@ -244,13 +232,12 @@ def _sweep(
     epochs: int,
     workers: int,
     pair: SplitPair | None = None,
-    ranking: list[int] | None = None,
 ) -> SweepResult:
     """Gap vs bound at every (m, d) grid point, n_repeats cells each."""
     specs = _cell_specs(
         experiment_id, source, points, delta, master_seed, n_repeats, n_rounds, epochs
     )
-    cells = _map_cells(specs, workers, pair, ranking)
+    cells = _map_cells(specs, workers, pair)
     return SweepResult.of([_verdict(s, c) for s, c in zip(specs, cells)])
 
 
@@ -403,8 +390,8 @@ def run_real_data(
     m-sweep: full feature set; each cell trains on a fresh seeded
     subsample (without replacement) of the train half and tests on the
     test half. d-sweep: the train half is used whole; features are ordered
-    by ensemble importance and each cell keeps the top d-1 of them. The
-    CLI splits with ``real_split_seed(master_seed)``.
+    by ensemble importance and each cell keeps a view of the top d-1 of
+    them. The CLI splits with ``real_split_seed(master_seed)``.
     """
     grid = [int(g) for g in grid]
     if not grid:
@@ -434,22 +421,14 @@ def run_real_data(
             raise ValueError(
                 f"d={max(grid)} needs {max(grid) - 1} features, dataset has {n_features}"
             )
-        rank_spec = CellSpec(
-            experiment_id="real-d-rank",
-            source=SOURCE_REAL,
-            T=n_rounds,
-            m=train_half.n_rows,
-            d=n_features + 1,
-            delta=delta,
-            seed=derive_seed(master_seed, _NS_SWEEP, 1),
-            epochs=epochs,
-        )
-        ranking = rank_features(_train_on(rank_spec, train_half), n_features)
+        config = PerceptronConfig(epochs, derive_seed(derive_seed(master_seed, _NS_SWEEP, 1), 2))
+        ranking = rank_features(train_adaboost(train_half, n_rounds, config), n_features)
         points = [(train_half.n_rows, d) for d in grid]
-        return _sweep(
-            _REAL_D, SOURCE_REAL, points, delta, master_seed,
-            n_repeats, n_rounds, epochs, workers, pair, ranking,
-        )
+        with columns_in_order(pair, ranking) as ordered:
+            return _sweep(
+                _REAL_D, SOURCE_REAL, points, delta, master_seed,
+                n_repeats, n_rounds, epochs, workers, ordered,
+            )
 
     raise ValueError(f"unknown real-data mode {mode!r}")
 
@@ -468,9 +447,7 @@ def feature_importances(trace: TrainTrace, n_features: int) -> np.ndarray:
             f"trace was trained on {rounds[0].hypothesis.weights.shape[0]} features, "
             f"expected {n_features}"
         )
-    totals = np.zeros(n_features)
-    for r in rounds:
-        totals += r.alpha * np.abs(r.hypothesis.weights)
+    totals = sum(r.alpha * np.abs(r.hypothesis.weights) for r in rounds)
     s = float(np.sum(totals))
     if s == 0.0:
         return np.full(n_features, 1.0 / n_features)
@@ -479,8 +456,7 @@ def feature_importances(trace: TrainTrace, n_features: int) -> np.ndarray:
 
 def rank_features(trace: TrainTrace, n_features: int) -> list[int]:
     """Column indices sorted by descending importance, ties by ascending index."""
-    importances = feature_importances(trace, n_features)
-    return [int(i) for i in np.argsort(-importances, kind="stable")]
+    return [int(i) for i in np.argsort(-feature_importances(trace, n_features), kind="stable")]
 
 
 def confidence_table(sweeps: Sequence[SweepResult]) -> list[tuple[str, str]]:

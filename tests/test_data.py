@@ -18,8 +18,13 @@ from boostbound import (
     generate_synthetic,
     load_csv,
     load_csv_split,
-    select_features,
     split_half,
+)
+from boostbound.perceptron import (
+    Distribution,
+    PerceptronConfig,
+    fit_perceptron,
+    predict_many,
 )
 from boostbound.rng import make_rng
 
@@ -65,6 +70,37 @@ class TestDatasetInvariants:
         ds = small_dataset()
         with pytest.raises(ValueError):
             ds.features[0, 0] = 99.0
+
+    def test_keeps_a_column_slice_as_a_read_only_view(self):
+        X = np.random.default_rng(1).standard_normal((7, 5))
+        ds = Dataset(X[:, :3], np.ones(7))
+        assert np.shares_memory(ds.features, X)
+        assert not ds.features.flags.writeable
+        assert X.flags.writeable
+        np.testing.assert_array_equal(ds.features, X[:, :3])
+
+    @pytest.mark.parametrize("layout", ["every-other-column", "fortran"])
+    def test_copies_a_matrix_whose_rows_are_not_contiguous(self, layout):
+        X = np.random.default_rng(1).standard_normal((7, 6))
+        source = X[:, ::2] if layout == "every-other-column" else np.asfortranarray(X)
+        ds = Dataset(source, np.ones(7))
+        assert not np.shares_memory(ds.features, X) and not np.shares_memory(ds.features, source)
+        assert ds.features.flags.c_contiguous and not ds.features.flags.writeable
+        np.testing.assert_array_equal(ds.features, source)
+
+    @pytest.mark.parametrize("k", [1, 7, 21])
+    def test_fit_and_predict_on_a_view_equal_those_on_a_copy(self, k):
+        rng = np.random.default_rng(k)
+        X = rng.standard_normal((301, 24))
+        y = np.where(rng.standard_normal(301) >= 0, 1.0, -1.0)
+        view = Dataset(X[:, :k], y)
+        copy = Dataset(np.ascontiguousarray(X[:, :k]), y)
+        assert np.shares_memory(view.features, X) and not np.shares_memory(copy.features, X)
+        dist = Distribution(rng.dirichlet(np.ones(301)))
+        config = PerceptronConfig(epochs=3, seed=k)
+        a, b = fit_perceptron(view, dist, config), fit_perceptron(copy, dist, config)
+        assert a.weights.tobytes() == b.weights.tobytes() and a.bias == b.bias
+        assert predict_many(a, view.features).tobytes() == predict_many(b, copy.features).tobytes()
 
 
 class TestSyntheticConfig:
@@ -228,12 +264,11 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="no data rows"):
             load_csv(path, target_column="t", positive_value="1")
 
-    def test_round_trip_through_select_features(self, tmp_path):
+    def test_cells_load_exactly(self, tmp_path):
         path = self.write(tmp_path, "y,a,b,c\n1,1.25,-2,0.0078125\n0,3,4,5\n")
         ds = load_csv(path, target_column="y", positive_value="1")
-        again = select_features(ds, [0, 1, 2])
-        np.testing.assert_array_equal(again.features, ds.features)
-        np.testing.assert_array_equal(again.labels, ds.labels)
+        np.testing.assert_array_equal(ds.features, [[1.25, -2.0, 0.0078125], [3.0, 4.0, 5.0]])
+        np.testing.assert_array_equal(ds.labels, [1.0, -1.0])
 
     def test_blank_lines_skipped_but_counted_in_row_numbers(self, tmp_path):
         path = self.write(tmp_path, "t,a\n1,1\n\n0,2\n")
@@ -466,30 +501,3 @@ class TestLoadCsvSplit:
         assert sum(h.n_rows for h in halves) == table.shape[0]
         assert peak <= 1.5 * sum(h.features.nbytes + h.labels.nbytes for h in halves)
 
-
-class TestSelectFeatures:
-    def test_identity(self):
-        ds = small_dataset(n=3)
-        out = select_features(ds, [0, 1, 2])
-        np.testing.assert_array_equal(out.features, ds.features)
-
-    def test_single_column(self):
-        ds = small_dataset(n=3)
-        out = select_features(ds, [1])
-        assert out.n_features == 1
-        np.testing.assert_array_equal(out.features[:, 0], ds.features[:, 1])
-        np.testing.assert_array_equal(out.labels, ds.labels)
-
-    def test_permutation(self):
-        ds = small_dataset(n=3)
-        out = select_features(ds, [2, 0])
-        np.testing.assert_array_equal(out.features[:, 0], ds.features[:, 2])
-        np.testing.assert_array_equal(out.features[:, 1], ds.features[:, 0])
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            select_features(small_dataset(n=3), [3])
-
-    def test_duplicate(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            select_features(small_dataset(n=3), [0, 0])

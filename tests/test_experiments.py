@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,7 +45,7 @@ from boostbound.experiments import (
     run_sample_size_sweep,
 )
 from boostbound.bound import GapReport
-from boostbound.data import load_csv_split
+from boostbound.data import SplitPair, load_csv_split
 from boostbound.experiments import sweeps
 from boostbound.rng import make_rng
 
@@ -288,11 +289,16 @@ class TestRealData:
             assert 0.0 <= rec.gap_report.train_error <= 1.0
             assert 0.0 <= rec.gap_report.test_error <= 1.0
 
-    def test_m_sweep_deterministic_across_workers(self):
+    @pytest.mark.parametrize(
+        "mode, grid", [("m-sweep", [20, 40]), ("d-sweep", [2, 4, 5])], ids=["m-sweep", "d-sweep"]
+    )
+    def test_deterministic_across_workers(self, mode, grid):
         ds = self.real_dataset()
-        a = run_real_data(halves(ds), "m-sweep", [20, 40], 0.05, 42, workers=1, **FAST)
-        b = run_real_data(halves(ds), "m-sweep", [20, 40], 0.05, 42, workers=2, **FAST)
+        a = run_real_data(halves(ds), mode, grid, 0.05, 42, workers=1, **FAST)
+        b = run_real_data(halves(ds), mode, grid, 0.05, 42, workers=2, **FAST)
+        assert len(a.records) == len(b.records) == len(grid)
         for ra, rb in zip(a.records, b.records):
+            assert ra.params == rb.params
             assert ra.gap_report == rb.gap_report
 
     def test_m_sweep_grid_capacity(self):
@@ -314,11 +320,10 @@ class TestRealData:
         assert full.records[0].params.d == 5
         assert full.records[0].applicable
 
-    def test_d_sweep_holds_no_reordered_copy_of_the_halves(self, tmp_path):
-        # A cell at d = n + 1 copies every column of both halves (1x their
-        # bytes) and fits on its train half (about 1.25x more in the fit's
-        # temporaries); an importance-ordered copy of both halves held for
-        # the whole sweep would add another 1x.
+    def test_d_sweep_cell_holds_no_column_copy(self, tmp_path):
+        # A cell at d = n + 1 fits on a view of its train half (about 1.3x
+        # the halves' bytes in the fit's temporaries); a copy of the kept
+        # columns of both halves would add another 1x.
         n = 20
         ds = self.real_dataset(m=4000, n=n)
         lines = ["label," + ",".join(f"c{j}" for j in range(n))] + [
@@ -335,7 +340,52 @@ class TestRealData:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.8 * held
+        assert peak < 1.6 * held
+
+    @pytest.mark.parametrize("fail_at", [None, 3])
+    def test_d_sweep_leaves_the_halves_as_they_were(self, monkeypatch, fail_at):
+        # Call 1 of train_adaboost is the ranking fit, call 3 the second cell.
+        pair = halves(self.real_dataset(n=6))
+        before = [h.features.tobytes() for h in (pair.train, pair.test)]
+        in_file_order = []
+        train_adaboost = sweeps.train_adaboost
+
+        def spy(*args):
+            in_file_order.append(pair.train.features.tobytes() == before[0])
+            if len(in_file_order) == fail_at:
+                raise RuntimeError("cell failed")
+            return train_adaboost(*args)
+
+        monkeypatch.setattr(sweeps, "train_adaboost", spy)
+        raises = pytest.raises(RuntimeError, match="cell failed") if fail_at else nullcontext()
+        with raises:
+            run_real_data(pair, "d-sweep", [3, 5, 7], 0.05, 42, workers=1, **FAST)
+        assert in_file_order[0] and not any(in_file_order[1:])
+        assert [h.features.tobytes() for h in (pair.train, pair.test)] == before
+        assert not any(h.features.flags.writeable for h in (pair.train, pair.test))
+
+    def test_d_sweep_copies_halves_it_cannot_permute_in_place(self):
+        def viewed(h):  # a view of a writable buffer: permuted in place
+            return Dataset(np.array(h.features)[:], h.labels)
+
+        def owned(h):  # owns its read-only buffer: copied
+            return Dataset(h.features.copy(), h.labels)
+
+        def frozen(h):  # a view of immutable bytes: copied
+            return Dataset(np.frombuffer(h.features.tobytes()).reshape(h.features.shape), h.labels)
+
+        def gap_reports(train, test):
+            before = [train.features.tobytes(), test.features.tobytes()]
+            result = run_real_data(SplitPair(train, test), "d-sweep", [3, 7], 0.05, 42, **FAST)
+            assert [train.features.tobytes(), test.features.tobytes()] == before
+            return [r.gap_report for r in result.records]
+
+        pair = halves(self.real_dataset(n=6))
+        train, test = pair.train, pair.test
+        expected = gap_reports(train, test)
+        assert gap_reports(owned(train), owned(test)) == expected
+        assert gap_reports(frozen(train), frozen(test)) == expected
+        assert gap_reports(train, train) == gap_reports(train, viewed(train))
 
     def test_d_sweep_rejects_too_many_features(self):
         ds = self.real_dataset(n=3)
