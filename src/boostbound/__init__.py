@@ -3,8 +3,6 @@ margin, the ensemble VC-dimension margin bound, and the sweep harness that
 verifies the bound empirically."""
 
 from .bound import (
-    BoundInapplicableError,
-    BoundInput,
     GapReport,
     check_bound,
     confidence,

@@ -8,9 +8,10 @@ least 1 - delta) by
     epsilon_boost = (2/rho) * sqrt(2*d*ln(e*m/d) / m) + sqrt(ln(1/delta) / (2*m))
 
 with natural logarithms. rho = 0 (or an undefined margin) makes the
-ceiling infinite, so the inequality holds vacuously; d > e*m makes the
-first radicand negative and is reported as a distinguished
-"bound inapplicable" outcome rather than a number.
+ceiling +inf, so the inequality holds vacuously; d > e*m makes the first
+radicand negative, and the ceiling is NaN: the bound does not apply and
+the cell has no verdict. A report is its four measured numbers; its gap,
+whether it holds and whether it has a verdict at all are derived from them.
 """
 
 from __future__ import annotations
@@ -22,67 +23,52 @@ from typing import Sequence
 DEFAULT_DELTA = 0.05
 
 
-class BoundInapplicableError(ValueError):
-    """The bound's first radicand is negative (d > e*m): no finite value exists."""
-
-
-@dataclass(frozen=True)
-class BoundInput:
-    """Arguments of the margin bound; ``rho=None`` means undefined margin."""
-
-    rho: float | None
-    d: int
-    m: int
-    delta: float = DEFAULT_DELTA
-
-    def __post_init__(self) -> None:
-        if self.rho is not None and not self.rho >= 0.0:
-            raise ValueError(f"rho {self.rho!r} must be nonnegative")
-        if self.d < 1:
-            raise ValueError("d must be a positive integer")
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta {self.delta!r} outside (0, 1]")
-
-
 @dataclass(frozen=True)
 class GapReport:
-    """Per-run verdict: measured errors, gap, margin, ceiling, holds flag."""
+    """Per-run verdict: measured errors, margin and ceiling.
+
+    The ceiling is NaN where no verdict exists (d > e*m, or an experiment
+    that evaluates no bound); such a report never holds.
+    """
 
     train_error: float
     test_error: float
-    delta_r: float
     rho: float | None
     epsilon_boost: float
-    holds: bool
 
     def __post_init__(self) -> None:
-        if self.delta_r != gap(self.train_error, self.test_error):
-            raise ValueError("delta_r must equal test_error - train_error exactly")
-        if self.holds != (self.delta_r <= self.epsilon_boost):
-            raise ValueError(
-                f"holds={str(self.holds).lower()} contradicts delta_r {self.delta_r!r} "
-                f"and epsilon_boost {self.epsilon_boost!r} (an infinite ceiling "
-                "always holds, a NaN one never does)"
-            )
+        gap(self.train_error, self.test_error)  # rejects errors outside [0, 1]
+
+    @property
+    def delta_r(self) -> float:
+        return self.test_error - self.train_error
+
+    @property
+    def holds(self) -> bool:
+        return self.delta_r <= self.epsilon_boost
 
 
-def epsilon_boost(inp: BoundInput) -> float:
-    """Evaluate the bound's right-hand side; +inf when rho is 0 or undefined."""
-    if inp.rho is None or inp.rho == 0.0:
+def epsilon_boost(rho: float | None, d: int, m: int, delta: float = DEFAULT_DELTA) -> float:
+    """The bound's right-hand side: +inf when rho is 0 or None, NaN when d > e*m."""
+    if rho is not None and not rho >= 0.0:
+        raise ValueError(f"rho {rho!r} must be nonnegative")
+    if d < 1:
+        raise ValueError("d must be a positive integer")
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta {delta!r} outside (0, 1]")
+    if rho is None or rho == 0.0:
         return math.inf
     # ln(e*m/d) written as 1 + ln(m/d): exact at m == d, one fewer rounding.
-    radicand = 2.0 * inp.d * (1.0 + math.log(inp.m / inp.d)) / inp.m
+    radicand = 2.0 * d * (1.0 + math.log(m / d)) / m
     if radicand < 0.0:
-        raise BoundInapplicableError(inapplicable_reason(inp.d, inp.m))
-    first = (2.0 / inp.rho) * math.sqrt(radicand)
-    second = math.sqrt(-math.log(inp.delta) / (2.0 * inp.m))
-    return first + second
+        return math.nan
+    return (2.0 / rho) * math.sqrt(radicand) + math.sqrt(-math.log(delta) / (2.0 * m))
 
 
 def inapplicable_reason(d: int, m: int) -> str:
-    """Why the bound has no value at (d, m): the message of BoundInapplicableError."""
+    """Why the bound has no value at (d, m)."""
     return f"d={d} exceeds e*m={math.e * m:.6g}; the bound does not apply"
 
 
@@ -102,29 +88,8 @@ def check_bound(
     m: int,
     delta: float = DEFAULT_DELTA,
 ) -> GapReport:
-    """Assemble the per-run verdict; raises BoundInapplicableError for d > e*m."""
-    ceiling = epsilon_boost(BoundInput(rho=rho, d=d, m=m, delta=delta))
-    delta_r = gap(train_error, test_error)
-    return GapReport(
-        train_error=train_error,
-        test_error=test_error,
-        delta_r=delta_r,
-        rho=rho,
-        epsilon_boost=ceiling,
-        holds=delta_r <= ceiling,
-    )
-
-
-def no_verdict(train_error: float, test_error: float, rho: float | None) -> GapReport:
-    """A report without a bound verdict: NaN ceiling, ``holds`` false by convention."""
-    return GapReport(
-        train_error=train_error,
-        test_error=test_error,
-        delta_r=gap(train_error, test_error),
-        rho=rho,
-        epsilon_boost=math.nan,
-        holds=False,
-    )
+    """The per-run verdict; its ceiling is NaN (no verdict) for d > e*m."""
+    return GapReport(train_error, test_error, rho, epsilon_boost(rho, d, m, delta))
 
 
 def confidence(reports: Sequence[GapReport]) -> float:

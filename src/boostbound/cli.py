@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .bound import BoundInput, epsilon_boost, inapplicable_reason
+from .bound import epsilon_boost, inapplicable_reason
 from .data import Dataset, SplitPair, SyntheticConfig, generate_synthetic, load_csv_split
 from .experiments import (
     SweepResult,
@@ -247,9 +247,9 @@ def _cmd_gen(cfg: dict) -> None:
 
 def _cmd_bound(cfg: dict) -> None:
     _require(cfg, "rho", "d", "m")
-    value = epsilon_boost(
-        BoundInput(rho=cfg["rho"], d=cfg["d"], m=cfg["m"], delta=cfg["delta"])
-    )
+    value = epsilon_boost(cfg["rho"], cfg["d"], cfg["m"], cfg["delta"])
+    if math.isnan(value):
+        raise ValueError(inapplicable_reason(cfg["d"], cfg["m"]))
     text = "+inf" if math.isinf(value) else format(value, ".17g")
     print(text)
     if cfg.get("out"):
@@ -272,7 +272,7 @@ def _cmd_train(cfg: dict) -> None:
     report = record.gap_report
     if not record.applicable:
         print(f"note: {inapplicable_reason(d, m)}")
-    emit_csv(SweepResult.of([record]), out_dir / "report.csv")
+    emit_csv(SweepResult([record]), out_dir / "report.csv")
     print(f"rounds = {cfg['t_max']}  train_rows = {m}  d = {d}")
     print(f"train_error = {report.train_error:.6f}")
     print(f"test_error = {report.test_error:.6f}")

@@ -21,10 +21,14 @@ import numpy as np
 
 from .rng import make_rng
 
+
 def _freeze(a: np.ndarray) -> np.ndarray:
+    """A read-only float64 view of ``a`` with contiguous rows; the caller's
+    own array keeps its flags."""
     a = np.asarray(a, dtype=np.float64)
     if a.strides[-1] != a.itemsize:
         a = np.ascontiguousarray(a)
+    a = a.view()
     a.setflags(write=False)
     return a
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..bound import BoundInapplicableError, BoundInput, GapReport, epsilon_boost
+from ..bound import GapReport, epsilon_boost
 from .fitting import PolyFit, polyfit
 from .records import RunParams, RunRecord, SweepResult
 
@@ -75,8 +75,10 @@ def _parse_bool(name: str, text: str) -> bool:
 def load_records_csv(path: str | Path) -> SweepResult:
     """Read a sweep CSV back into records (wall times are not stored).
 
-    The confidence is recomputed over the applicable rows; rows whose
-    bound was never evaluated load with ``rho=None`` and a NaN ceiling.
+    ``delta_r``, ``holds`` and ``applicable`` are derived from the row's
+    errors and ceiling; a row whose stored values disagree is rejected.
+    Rows whose bound was never evaluated load with ``rho=None`` and a NaN
+    ceiling.
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln]
@@ -89,33 +91,41 @@ def load_records_csv(path: str | Path) -> SweepResult:
             if len(cells) != 14:
                 raise ValueError(f"malformed row {ln!r}")
             rho = float(cells[7])
-            report = GapReport(
-                train_error=float(cells[8]),
-                test_error=float(cells[9]),
-                delta_r=float(cells[10]),
-                rho=None if math.isnan(rho) else rho,
-                epsilon_boost=float(cells[11]),
-                holds=_parse_bool("holds", cells[12]),
+            record = RunRecord(
+                experiment_id=cells[0],
+                params=RunParams(
+                    T=int(cells[2]),
+                    m=int(cells[3]),
+                    d=int(cells[4]),
+                    delta=float(cells[5]),
+                    seed=int(cells[6]),
+                    source=cells[1],
+                ),
+                gap_report=GapReport(
+                    train_error=float(cells[8]),
+                    test_error=float(cells[9]),
+                    rho=None if math.isnan(rho) else rho,
+                    epsilon_boost=float(cells[11]),
+                ),
+                wall_time_ms=0,
             )
-            records.append(
-                RunRecord(
-                    experiment_id=cells[0],
-                    params=RunParams(
-                        T=int(cells[2]),
-                        m=int(cells[3]),
-                        d=int(cells[4]),
-                        delta=float(cells[5]),
-                        seed=int(cells[6]),
-                        source=cells[1],
-                    ),
-                    gap_report=report,
-                    wall_time_ms=0,
-                    applicable=_parse_bool("applicable", cells[13]),
+            g = record.gap_report
+            if float(cells[10]) != g.delta_r:
+                raise ValueError("delta_r must equal test_error - train_error exactly")
+            if _parse_bool("holds", cells[12]) != g.holds:
+                raise ValueError(
+                    f"holds={cells[12]} contradicts delta_r {g.delta_r!r} and epsilon_boost "
+                    f"{g.epsilon_boost!r} (an infinite ceiling always holds, a NaN one never does)"
                 )
-            )
+            if _parse_bool("applicable", cells[13]) != record.applicable:
+                raise ValueError(
+                    f"applicable={cells[13]} contradicts epsilon_boost {g.epsilon_boost!r} "
+                    "(a row has a verdict exactly when its ceiling is not NaN)"
+                )
+            records.append(record)
         except ValueError as exc:
             raise ValueError(f"{path}: row {n}: {exc}") from exc
-    return SweepResult.of(records)
+    return SweepResult(records)
 
 
 def x_axis_name(experiment_id: str) -> str:
@@ -162,11 +172,9 @@ def default_figure(
         curve = []
         for x in sorted(seen):
             d, m, delta = seen[x]
-            try:
-                y = epsilon_boost(BoundInput(rho=rho_med, d=d, m=m, delta=delta))
-            except BoundInapplicableError:
-                continue
-            curve.append((x, y))
+            y = epsilon_boost(rho_med, d, m, delta)
+            if not math.isnan(y):
+                curve.append((x, y))
         if not curve:
             curve = None
     return fit, curve

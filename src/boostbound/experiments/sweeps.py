@@ -41,7 +41,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from ..bound import BoundInapplicableError, check_bound, no_verdict
+from ..bound import GapReport, check_bound
 from ..boosting import TrainTrace, evaluate, train_adaboost
 from ..data import (
     Dataset,
@@ -143,22 +143,16 @@ def _verdict(spec: CellSpec, cell: tuple) -> RunRecord:
     """Judge a cell's final gap against the bound (d > e*m gives an
     inapplicable record)."""
     train_errors, test_errors, rho, ms = cell
-    train_error, test_error = float(train_errors[-1]), float(test_errors[-1])
-    try:
-        report = check_bound(train_error, test_error, rho, spec.d, spec.m, spec.delta)
-        applicable = True
-    except BoundInapplicableError:
-        report = no_verdict(train_error, test_error, rho)
-        applicable = False
     return RunRecord(
         experiment_id=spec.experiment_id,
         params=RunParams(
             T=spec.T, m=spec.m, d=spec.d, delta=spec.delta, seed=spec.seed,
             source=spec.source,
         ),
-        gap_report=report,
+        gap_report=check_bound(
+            float(train_errors[-1]), float(test_errors[-1]), rho, spec.d, spec.m, spec.delta
+        ),
         wall_time_ms=ms,
-        applicable=applicable,
     )
 
 
@@ -238,7 +232,7 @@ def _sweep(
         experiment_id, source, points, delta, master_seed, n_repeats, n_rounds, epochs
     )
     cells = _map_cells(specs, workers, pair)
-    return SweepResult.of([_verdict(s, c) for s, c in zip(specs, cells)])
+    return SweepResult([_verdict(s, c) for s, c in zip(specs, cells)])
 
 
 def sweep_grid(name: str, lo: int, hi: int, step: int) -> range:
@@ -338,13 +332,12 @@ def run_iteration_sweep(
                 T=t + 1, m=m, d=d, delta=math.nan, seed=master_seed,
                 source=SOURCE_SYNTHETIC,
             ),
-            gap_report=no_verdict(float(mean_train[t]), float(mean_test[t]), None),
+            gap_report=GapReport(float(mean_train[t]), float(mean_test[t]), None, math.nan),
             wall_time_ms=total_ms,
-            applicable=False,
         )
         for t in range(t_max)
     ]
-    return SweepResult.of(records)
+    return SweepResult(records)
 
 
 def run_train_cell(

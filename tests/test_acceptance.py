@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from boostbound import (
-    BoundInput,
     Dataset,
     Distribution,
     PerceptronConfig,
@@ -291,11 +290,11 @@ def test_c08_bound_evaluator_precision():
         for d in ds:
             for m in ms:
                 for delta in deltas:
-                    got = epsilon_boost(BoundInput(rho=rho, d=d, m=m, delta=delta))
+                    got = epsilon_boost(rho=rho, d=d, m=m, delta=delta)
                     want = mp_epsilon_boost(rho, d, m, delta)
                     worst = max(worst, abs(got - want) / want)
                     points += 1
-    anchor = epsilon_boost(BoundInput(rho=1.0, d=1, m=1, delta=1.0))
+    anchor = epsilon_boost(rho=1.0, d=1, m=1, delta=1.0)
     anchor_err = abs(anchor - 2.0 * math.sqrt(2.0))
     report(
         "C08", "bound-evaluator-precision",

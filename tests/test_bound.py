@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boostbound import (
-    BoundInapplicableError,
-    BoundInput,
     GapReport,
     check_bound,
     confidence,
@@ -33,57 +31,56 @@ def mp_epsilon_boost(rho, d, m, delta, dps=60):
 class TestEpsilonBoost:
     def test_analytic_anchor(self):
         # With rho=d=m=delta=1 the second term is 0 and ln(e) = 1, leaving 2*sqrt(2).
-        value = epsilon_boost(BoundInput(rho=1.0, d=1, m=1, delta=1.0))
+        value = epsilon_boost(rho=1.0, d=1, m=1, delta=1.0)
         assert abs(value - 2.0 * math.sqrt(2.0)) <= 1e-15
 
     def test_zero_margin_diverges(self):
-        assert epsilon_boost(BoundInput(rho=0.0, d=5, m=100)) == math.inf
+        assert epsilon_boost(rho=0.0, d=5, m=100) == math.inf
 
     def test_undefined_margin_diverges(self):
-        assert epsilon_boost(BoundInput(rho=None, d=5, m=100)) == math.inf
+        assert epsilon_boost(rho=None, d=5, m=100) == math.inf
 
     def test_frozen_example(self):
-        value = epsilon_boost(BoundInput(rho=0.5, d=25, m=1000, delta=0.05))
+        value = epsilon_boost(rho=0.5, d=25, m=1000, delta=0.05)
         assert value == pytest.approx(EPS_HALF_25_1000, rel=1e-12)
 
-    def test_inapplicable_regime_raises(self):
+    def test_inapplicable_regime_is_nan(self):
         # e*3 = 8.15..., so d=10 is outside the regime and d=8 is inside.
-        with pytest.raises(BoundInapplicableError):
-            epsilon_boost(BoundInput(rho=0.5, d=10, m=3))
-        epsilon_boost(BoundInput(rho=0.5, d=8, m=3))
+        assert math.isnan(epsilon_boost(rho=0.5, d=10, m=3))
+        assert math.isfinite(epsilon_boost(rho=0.5, d=8, m=3))
 
     def test_matches_high_precision_on_grid(self):
         for rho in (0.01, 0.2, 1.0):
             for d in (1, 7, 40):
                 for m in (16, 900, 10**6):
-                    got = epsilon_boost(BoundInput(rho=rho, d=d, m=m, delta=0.05))
+                    got = epsilon_boost(rho=rho, d=d, m=m, delta=0.05)
                     want = mp_epsilon_boost(rho, d, m, 0.05)
                     assert got == pytest.approx(want, rel=1e-12)
 
     def test_strictly_decreasing_in_rho(self):
         values = [
-            epsilon_boost(BoundInput(rho=r, d=25, m=1000))
+            epsilon_boost(rho=r, d=25, m=1000)
             for r in (0.05, 0.1, 0.2, 0.4, 0.8, 1.0)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_strictly_decreasing_in_delta(self):
         values = [
-            epsilon_boost(BoundInput(rho=0.5, d=25, m=1000, delta=dl))
+            epsilon_boost(rho=0.5, d=25, m=1000, delta=dl)
             for dl in (0.01, 0.05, 0.2, 0.5, 1.0)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_vanishes_as_m_grows(self):
-        v100 = epsilon_boost(BoundInput(rho=0.5, d=25, m=10**2))
-        v10k = epsilon_boost(BoundInput(rho=0.5, d=25, m=10**4))
-        v100m = epsilon_boost(BoundInput(rho=0.5, d=25, m=10**8))
+        v100 = epsilon_boost(rho=0.5, d=25, m=10**2)
+        v10k = epsilon_boost(rho=0.5, d=25, m=10**4)
+        v100m = epsilon_boost(rho=0.5, d=25, m=10**8)
         assert v100 > v10k > v100m
 
     def test_unimodal_in_d_with_peak_near_m(self):
         m = 100
         grid = list(range(2, int(math.e * m), 7))
-        values = [epsilon_boost(BoundInput(rho=1.0, d=d, m=m)) for d in grid]
+        values = [epsilon_boost(rho=1.0, d=d, m=m) for d in grid]
         diffs = [b - a for a, b in zip(values, values[1:])]
         sign_changes = sum(
             1 for a, b in zip(diffs, diffs[1:]) if (a > 0) != (b > 0)
@@ -104,7 +101,7 @@ class TestEpsilonBoost:
     )
     def test_input_validation(self, kwargs):
         with pytest.raises(ValueError):
-            BoundInput(**kwargs)
+            epsilon_boost(**kwargs)
 
 
 class TestGap:
@@ -144,38 +141,22 @@ class TestCheckBound:
         assert not report.holds
 
     def test_propagates_inapplicable(self):
-        with pytest.raises(BoundInapplicableError):
-            check_bound(0.1, 0.2, rho=0.5, d=10, m=3)
+        report = check_bound(0.1, 0.2, rho=0.5, d=10, m=3)
+        assert math.isnan(report.epsilon_boost)
+        assert not report.holds
 
 
 class TestGapReportInvariants:
-    def test_rejects_inconsistent_delta(self):
-        with pytest.raises(ValueError, match="delta_r"):
-            GapReport(
-                train_error=0.1, test_error=0.2, delta_r=0.5,
-                rho=0.5, epsilon_boost=1.0, holds=True,
-            )
-
-    def test_rejects_non_holding_infinity(self):
-        with pytest.raises(ValueError, match="infinite"):
-            GapReport(
-                train_error=0.1, test_error=0.2, delta_r=0.2 - 0.1,
-                rho=0.0, epsilon_boost=math.inf, holds=False,
-            )
-
     def test_ordering_check_direct(self):
-        report = GapReport(
-            train_error=0.0, test_error=1.0, delta_r=1.0,
-            rho=1.0, epsilon_boost=0.9, holds=False,
-        )
+        report = GapReport(train_error=0.0, test_error=1.0, rho=1.0, epsilon_boost=0.9)
+        assert report.delta_r == 1.0
         assert not report.holds
 
 
 class TestConfidence:
     def make_report(self, holds):
         return GapReport(
-            train_error=0.1, test_error=0.2, delta_r=0.2 - 0.1,
-            rho=0.5, epsilon_boost=10.0 if holds else 0.01, holds=holds,
+            train_error=0.1, test_error=0.2, rho=0.5, epsilon_boost=10.0 if holds else 0.01
         )
 
     def test_three_of_four(self):

@@ -333,6 +333,13 @@ class TestPlotCommand:
             ),
             (12, "TRUE", "holds must be true or false, got 'TRUE'"),
             (13, "TRUE", "applicable must be true or false, got 'TRUE'"),
+            (
+                13, "false",
+                "applicable=false contradicts epsilon_boost {epsilon_boost} "
+                "(a row has a verdict exactly when its ceiling is not NaN)",
+            ),
+            (4, "0", "d must be at least 1, got 0"),
+            (2, "-5", "T must be at least 1, got -5"),
         ],
     )
     def test_malformed_row_names_file_and_row(self, tmp_path, capsys, column, text, message):
@@ -341,6 +348,7 @@ class TestPlotCommand:
             (tmp_path / "a" / "m-sweep.csv").read_text().splitlines()
         )
         cells = second.split(",")
+        message = message.format(epsilon_boost=repr(float(cells[11])))
         cells[column] = text
         bad = tmp_path / "bad.csv"
         # the blank line still counts, so the broken row is line 4 of the file

@@ -71,6 +71,13 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             ds.features[0, 0] = 99.0
 
+    def test_leaves_the_callers_array_writable(self):
+        X = np.zeros((3, 2))
+        ds = Dataset(X, np.ones(3))
+        X[0, 0] = 1.0
+        assert np.shares_memory(ds.features, X) and ds.features[0, 0] == 1.0
+        assert not ds.features.flags.writeable
+
     def test_keeps_a_column_slice_as_a_read_only_view(self):
         X = np.random.default_rng(1).standard_normal((7, 5))
         ds = Dataset(X[:, :3], np.ones(7))

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 from contextlib import nullcontext
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,6 @@ import numpy as np
 import pytest
 
 from boostbound import (
-    BoundInput,
     Dataset,
     Ensemble,
     PerceptronModel,
@@ -50,6 +50,13 @@ from boostbound.experiments import sweeps
 from boostbound.rng import make_rng
 
 FAST = dict(n_rounds=3, epochs=3)
+
+GOLDEN = Path(__file__).parent / "golden"
+# Every golden sweep CSV: t-sweep rows, inapplicable d-sweep rows, train
+# reports and real-data sweeps.
+GOLDEN_SWEEP_CSVS = sorted(
+    p for p in GOLDEN.rglob("*.csv") if p.read_text(encoding="utf-8").startswith(CSV_HEADER + "\n")
+)
 
 
 def tiny_m_sweep(**overrides):
@@ -133,9 +140,7 @@ class TestSampleSizeSweep:
             g = rec.gap_report
             assert g.delta_r == g.test_error - g.train_error
             assert rec.applicable
-            recomputed = epsilon_boost(
-                BoundInput(rho=g.rho, d=rec.params.d, m=rec.params.m, delta=rec.params.delta)
-            )
+            recomputed = epsilon_boost(g.rho, rec.params.d, rec.params.m, rec.params.delta)
             assert recomputed == g.epsilon_boost
 
     def test_confidence_matches_records(self):
@@ -192,7 +197,7 @@ class TestDimensionSweep:
     def test_cell_past_e_m_without_a_margin_has_an_infinite_bound(self, monkeypatch, rho):
         # epsilon_boost returns +inf for a zero or undefined margin before it
         # compares d with e*m, so this d=10 > e*3 cell is applicable and every
-        # inapplicable record carries a margin, which SweepResult.of counts on.
+        # inapplicable record carries a margin, which inapplicable_count counts on.
         monkeypatch.setattr(sweeps, "evaluate", lambda ensemble, data: (np.array([0.25]), rho))
         result = run_dimension_sweep(3, 10, 10, 1, 0.05, 42, workers=1, **FAST)
         (record,) = result.records
@@ -368,7 +373,7 @@ class TestRealData:
         def viewed(h):  # a view of a writable buffer: permuted in place
             return Dataset(np.array(h.features)[:], h.labels)
 
-        def owned(h):  # owns its read-only buffer: copied
+        def owned(h):  # a read-only view of a writable copy: permuted in place
             return Dataset(h.features.copy(), h.labels)
 
         def frozen(h):  # a view of immutable bytes: copied
@@ -441,11 +446,14 @@ class TestConfidenceTable:
         assert rows == [("m-sweep-d5", f"{100 * full.confidence:.1f}%")]
 
     def test_exact_percentages(self):
-        def sweep_with(conf):
+        def sweep_with(n_holding, n):
             rec = tiny_m_sweep().records[0]
-            return SweepResult(records=(rec,), confidence=conf, inapplicable_count=0)
+            ceilings = [math.inf] * n_holding + [-math.inf] * (n - n_holding)
+            return SweepResult([
+                replace(rec, gap_report=replace(rec.gap_report, epsilon_boost=c)) for c in ceilings
+            ])
 
-        rows = confidence_table([sweep_with(1.0), sweep_with(0.825)])
+        rows = confidence_table([sweep_with(1, 1), sweep_with(33, 40)])
         assert [c for _, c in rows] == ["100.0%", "82.5%"]
 
     def test_rejects_empty_and_verdictless(self):
@@ -534,17 +542,14 @@ class TestPolyfit:
 
 
 def synthetic_result_with_infinite_bound():
-    report = GapReport(
-        train_error=0.0, test_error=0.5, delta_r=0.5,
-        rho=0.0, epsilon_boost=math.inf, holds=True,
-    )
+    report = GapReport(train_error=0.0, test_error=0.5, rho=0.0, epsilon_boost=math.inf)
     rec = RunRecord(
         experiment_id="m-sweep-d5",
         params=RunParams(T=3, m=10, d=5, delta=0.05, seed=1, source="synthetic"),
         gap_report=report,
         wall_time_ms=0,
     )
-    return SweepResult(records=(rec,), confidence=1.0, inapplicable_count=0)
+    return SweepResult((rec,))
 
 
 class TestEmitters:
@@ -587,6 +592,48 @@ class TestEmitters:
         again = tmp_path / "again.csv"
         emit_csv(loaded, again)
         assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("path", GOLDEN_SWEEP_CSVS, ids=lambda p: str(p.relative_to(GOLDEN)))
+    def test_golden_csv_round_trip_is_exact(self, tmp_path, path):
+        again = tmp_path / "again.csv"
+        emit_csv(load_records_csv(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"delta_r": "0.5"}, "delta_r must equal test_error - train_error exactly"),
+            (
+                {"epsilon_boost": "+inf", "holds": "false"},
+                "holds=false contradicts delta_r 0.1 and epsilon_boost inf "
+                "(an infinite ceiling always holds, a NaN one never does)",
+            ),
+            (
+                {"epsilon_boost": "nan"},
+                "holds=true contradicts delta_r 0.1 and epsilon_boost nan "
+                "(an infinite ceiling always holds, a NaN one never does)",
+            ),
+            (
+                {"epsilon_boost": "nan", "holds": "false"},
+                "applicable=true contradicts epsilon_boost nan "
+                "(a row has a verdict exactly when its ceiling is not NaN)",
+            ),
+        ],
+        ids=["inconsistent-delta", "non-holding-infinity", "holding-nan", "applicable-nan"],
+    )
+    def test_load_rejects_a_row_whose_verdict_contradicts_it(self, tmp_path, changes, message):
+        row = dict(zip(CSV_HEADER.split(","), [
+            "m-sweep-d5", "synthetic", "3", "10", "5", "0.05", "1", "0.5",
+            "0.10000000000000001", "0.20000000000000001", "0.10000000000000001", "3.0",
+            "true", "true",
+        ]))
+        path = tmp_path / "row.csv"
+        path.write_text(f"{CSV_HEADER}\n{','.join(row.values())}\n")
+        assert load_records_csv(path).confidence == 1.0
+        path.write_text(f"{CSV_HEADER}\n{','.join({**row, **changes}.values())}\n")
+        with pytest.raises(ValueError) as info:
+            load_records_csv(path)
+        assert str(info.value) == f"{path}: row 2: {message}"
 
     def test_svg_structure(self, tmp_path):
         result = tiny_m_sweep(n_repeats=2)
@@ -632,7 +679,7 @@ class TestEmitters:
         assert len({pt.split(",")[1] for pt in fit_line.split()}) == 1
 
     def test_empty_sweep_rejected(self, tmp_path):
-        empty = SweepResult(records=(), confidence=None, inapplicable_count=0)
+        empty = SweepResult(())
         with pytest.raises(ValueError):
             emit_csv(empty, tmp_path / "x.csv")
         with pytest.raises(ValueError):
@@ -649,4 +696,4 @@ class TestDefaultFigure:
         rhos = [r.gap_report.rho for r in result.records]
         med = float(np.median(rhos))
         for (x, y), m in zip(curve, (10, 20, 30)):
-            assert y == epsilon_boost(BoundInput(rho=med, d=5, m=m, delta=0.05))
+            assert y == epsilon_boost(rho=med, d=5, m=m, delta=0.05)
