@@ -2,13 +2,7 @@
 margin, the ensemble VC-dimension margin bound, and the sweep harness that
 verifies the bound empirically."""
 
-from .bound import (
-    GapReport,
-    check_bound,
-    confidence,
-    epsilon_boost,
-    gap,
-)
+from .bound import GapReport, check_bound, epsilon_boost
 from .boosting import (
     BoostRound,
     Ensemble,

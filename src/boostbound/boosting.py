@@ -38,7 +38,6 @@ class BoostRound:
     hypothesis: PerceptronModel
     alpha: float
     epsilon: float
-    z: float
     flipped: bool
 
     def __post_init__(self) -> None:
@@ -46,8 +45,10 @@ class BoostRound:
             raise ValueError(f"round epsilon {self.epsilon!r} outside (0, 0.5]")
         if self.alpha < 0.0:
             raise ValueError("round alpha must be nonnegative")
-        if not 0.0 < self.z <= 1.0:
-            raise ValueError(f"round z {self.z!r} outside (0, 1]")
+
+    @property
+    def z(self) -> float:
+        return compute_z(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ def train_adaboost(
     (weak_config.seed, t), so a longer run is an exact extension of a
     shorter one. A round whose raw weighted error exceeds 1/2 has its
     hypothesis negated and its error replaced by 1 - eps; the error is
-    then clamped into [EPSILON_FLOOR, 1/2] before alpha and z.
+    then clamped into [EPSILON_FLOOR, 1/2] before alpha.
     """
     if train.n_rows < 1:
         raise ValueError("training dataset is empty")
@@ -140,11 +141,8 @@ def train_adaboost(
             raw_epsilon = 1.0 - raw_epsilon
         epsilon = min(max(raw_epsilon, EPSILON_FLOOR), 0.5)
         alpha = compute_alpha(epsilon)
-        z = compute_z(epsilon)
         dist = update_distribution(dist, alpha, predictions, train.labels)
-        rounds.append(
-            BoostRound(hypothesis=model, alpha=alpha, epsilon=epsilon, z=z, flipped=flipped)
-        )
+        rounds.append(BoostRound(hypothesis=model, alpha=alpha, epsilon=epsilon, flipped=flipped))
     return TrainTrace(ensemble=Ensemble(tuple(rounds)))
 
 

@@ -10,22 +10,23 @@ least 1 - delta) by
 with natural logarithms. rho = 0 (or an undefined margin) makes the
 ceiling +inf, so the inequality holds vacuously; d > e*m makes the first
 radicand negative, and the ceiling is NaN: the bound does not apply and
-the cell has no verdict. A report is its four measured numbers; its gap,
-whether it holds and whether it has a verdict at all are derived from them.
+the cell has no verdict. A report is its four measured numbers; its gap
+delta_r, whether it holds and whether it has a verdict at all are derived
+from them, as is a sweep's confidence (``SweepResult.confidence``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 DEFAULT_DELTA = 0.05
 
 
 @dataclass(frozen=True)
 class GapReport:
-    """Per-run verdict: measured errors, margin and ceiling.
+    """Per-run verdict: errors and margin in [0, 1] (None: undefined margin)
+    and a nonnegative ceiling.
 
     The ceiling is NaN where no verdict exists (d > e*m, or an experiment
     that evaluates no bound); such a report never holds.
@@ -37,7 +38,13 @@ class GapReport:
     epsilon_boost: float
 
     def __post_init__(self) -> None:
-        gap(self.train_error, self.test_error)  # rejects errors outside [0, 1]
+        for name, v in (("train_error", self.train_error), ("test_error", self.test_error)):
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} {v!r} outside [0, 1]")
+        if self.rho is not None and not 0.0 <= self.rho <= 1.0:
+            raise ValueError(f"rho {self.rho!r} outside [0, 1]")
+        if self.epsilon_boost < 0.0:
+            raise ValueError(f"epsilon_boost {self.epsilon_boost!r} is negative")
 
     @property
     def delta_r(self) -> float:
@@ -72,14 +79,6 @@ def inapplicable_reason(d: int, m: int) -> str:
     return f"d={d} exceeds e*m={math.e * m:.6g}; the bound does not apply"
 
 
-def gap(train_error: float, test_error: float) -> float:
-    """Generalization gap: test error minus training error (may be negative)."""
-    for name, v in (("train_error", train_error), ("test_error", test_error)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} {v!r} outside [0, 1]")
-    return test_error - train_error
-
-
 def check_bound(
     train_error: float,
     test_error: float,
@@ -90,10 +89,3 @@ def check_bound(
 ) -> GapReport:
     """The per-run verdict; its ceiling is NaN (no verdict) for d > e*m."""
     return GapReport(train_error, test_error, rho, epsilon_boost(rho, d, m, delta))
-
-
-def confidence(reports: Sequence[GapReport]) -> float:
-    """Fraction of reports whose gap stayed below the ceiling."""
-    if not reports:
-        raise ValueError("confidence needs at least one report")
-    return sum(1 for r in reports if r.holds) / len(reports)

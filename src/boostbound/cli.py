@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .bound import epsilon_boost, inapplicable_reason
+from .bound import DEFAULT_DELTA, epsilon_boost, inapplicable_reason
 from .data import Dataset, SplitPair, SyntheticConfig, generate_synthetic, load_csv_split
 from .experiments import (
     SweepResult,
@@ -37,6 +37,7 @@ from .experiments import (
     run_train_cell,
     sweep_grid,
 )
+from .experiments.sweeps import DEFAULT_EPOCHS, DEFAULT_ROUNDS
 from .rng import derive_seed
 
 EXP_MODES = ("t-sweep", "m-sweep", "d-sweep", "real-m", "real-d", "confidence")
@@ -81,10 +82,10 @@ _SUBCOMMAND_FLAGS = {
 }
 
 _COMMON_DEFAULTS = {
-    "delta": 0.05,
+    "delta": DEFAULT_DELTA,
     "seed": 42,
-    "epochs": 10,
-    "t-max": 10,
+    "epochs": DEFAULT_EPOCHS,
+    "t-max": DEFAULT_ROUNDS,
     "repeats": 1,
 }
 

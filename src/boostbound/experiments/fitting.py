@@ -23,17 +23,14 @@ class PolyFit:
     """Polynomial in the rescaled variable u = 2*(x - lo)/(hi - lo) - 1."""
 
     coefficients: np.ndarray
-    order: int
     x_scale: tuple[float, float]
 
     def __post_init__(self) -> None:
         c = np.ascontiguousarray(self.coefficients, dtype=np.float64).ravel()
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
-        if self.order < 1:
-            raise ValueError("order must be positive")
-        if c.shape[0] != self.order + 1:
-            raise ValueError("need order+1 coefficients")
+        if c.shape[0] < 2:
+            raise ValueError("need at least two coefficients (order at least 1)")
         lo, hi = self.x_scale
         if not hi > lo:
             raise ValueError("x_scale must satisfy min < max")
@@ -79,4 +76,4 @@ def polyfit(points: Sequence[tuple[float, float]], order: int = DEFAULT_FIT_ORDE
                 row[i:] = [a - f * b for a, b in zip(row[i:], pivot[i:])]
     span = Fraction(hi) - Fraction(lo)  # c_j of p**j is c_j * span**j of u
     coeffs = [float(row[k] / row[j] * span**j) for j, row in enumerate(system)]
-    return PolyFit(coefficients=np.array(coeffs), order=order, x_scale=(lo, hi))
+    return PolyFit(coefficients=np.array(coeffs), x_scale=(lo, hi))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..bound import GapReport, confidence
+from ..bound import GapReport
 
 SOURCE_SYNTHETIC = "synthetic"
 SOURCE_REAL = "real"
@@ -67,8 +67,8 @@ class SweepResult:
     def confidence(self) -> float | None:
         """Fraction of applicable records that hold; None without one (the
         iteration sweep evaluates no bound)."""
-        reports = [r.gap_report for r in self.records if r.applicable]
-        return confidence(reports) if reports else None
+        holds = [r.gap_report.holds for r in self.records if r.applicable]
+        return sum(holds) / len(holds) if holds else None
 
     @property
     def inapplicable_count(self) -> int:

@@ -42,7 +42,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from ..bound import GapReport, check_bound
-from ..boosting import TrainTrace, evaluate, train_adaboost
+from ..boosting import Ensemble, evaluate, train_adaboost
 from ..data import (
     Dataset,
     SplitPair,
@@ -356,6 +356,12 @@ def run_train_cell(
     without a pair, on synthetic data of dimension d-1 cut into two halves
     of m rows.
     """
+    if pair is not None and (d, m) != (pair.train.n_features + 1, pair.train.n_rows):
+        raise ValueError(
+            f"d={d}, m={m} disagree with the train half ({pair.train.n_rows} rows x "
+            f"{pair.train.n_features} features: d={pair.train.n_features + 1}, "
+            f"m={pair.train.n_rows})"
+        )
     source = SOURCE_SYNTHETIC if pair is None else SOURCE_REAL
     spec = CellSpec(_TRAIN, source, n_rounds, m, d, delta, seed, epochs)
     return _verdict(spec, _map_cells([spec], 1, pair)[0])
@@ -415,7 +421,7 @@ def run_real_data(
                 f"d={max(grid)} needs {max(grid) - 1} features, dataset has {n_features}"
             )
         config = PerceptronConfig(epochs, derive_seed(derive_seed(master_seed, _NS_SWEEP, 1), 2))
-        ranking = rank_features(train_adaboost(train_half, n_rounds, config), n_features)
+        ranking = rank_features(train_adaboost(train_half, n_rounds, config).ensemble)
         points = [(train_half.n_rows, d) for d in grid]
         with columns_in_order(pair, ranking) as ordered:
             return _sweep(
@@ -426,30 +432,22 @@ def run_real_data(
     raise ValueError(f"unknown real-data mode {mode!r}")
 
 
-def feature_importances(trace: TrainTrace, n_features: int) -> np.ndarray:
+def feature_importances(ens: Ensemble) -> np.ndarray:
     """Per-feature importance: sum over rounds of alpha * |weight|, sum-1 normalized.
 
     Flips never change |weight|, so they do not affect the ranking. An
     all-zero ensemble degenerates to uniform importances.
     """
-    rounds = trace.ensemble.rounds
-    if not rounds:
-        raise ValueError("empty trace")
-    if rounds[0].hypothesis.weights.shape[0] != n_features:
-        raise ValueError(
-            f"trace was trained on {rounds[0].hypothesis.weights.shape[0]} features, "
-            f"expected {n_features}"
-        )
-    totals = sum(r.alpha * np.abs(r.hypothesis.weights) for r in rounds)
+    totals = sum(r.alpha * np.abs(r.hypothesis.weights) for r in ens.rounds)
     s = float(np.sum(totals))
     if s == 0.0:
-        return np.full(n_features, 1.0 / n_features)
+        return np.full_like(totals, 1.0 / totals.size)
     return totals / s
 
 
-def rank_features(trace: TrainTrace, n_features: int) -> list[int]:
+def rank_features(ens: Ensemble) -> list[int]:
     """Column indices sorted by descending importance, ties by ascending index."""
-    return [int(i) for i in np.argsort(-feature_importances(trace, n_features), kind="stable")]
+    return [int(i) for i in np.argsort(-feature_importances(ens), kind="stable")]
 
 
 def confidence_table(sweeps: Sequence[SweepResult]) -> list[tuple[str, str]]:

@@ -326,7 +326,7 @@ def test_c09_vote_weight_scale_invariance():
                 tuple(
                     BoostRound(
                         hypothesis=r.hypothesis, alpha=c * r.alpha,
-                        epsilon=r.epsilon, z=r.z, flipped=r.flipped,
+                        epsilon=r.epsilon, flipped=r.flipped,
                     )
                     for r in base.rounds
                 )

@@ -74,7 +74,6 @@ def make_round(weights, bias, epsilon=0.25, flipped=False):
         hypothesis=PerceptronModel(weights=np.asarray(weights, float), bias=bias),
         alpha=compute_alpha(epsilon),
         epsilon=epsilon,
-        z=compute_z(epsilon),
         flipped=flipped,
     )
 
@@ -419,7 +418,6 @@ class TestScaleInvariance:
                     hypothesis=r.hypothesis,
                     alpha=c * r.alpha,
                     epsilon=r.epsilon,
-                    z=r.z,
                     flipped=r.flipped,
                 )
             )
@@ -445,7 +443,6 @@ class TestRoundValidation:
                 hypothesis=PerceptronModel(weights=np.zeros(1), bias=0.0),
                 alpha=0.1,
                 epsilon=0.7,
-                z=0.9,
                 flipped=False,
             )
 
@@ -455,7 +452,6 @@ class TestRoundValidation:
                 hypothesis=PerceptronModel(weights=np.zeros(1), bias=0.0),
                 alpha=-0.1,
                 epsilon=0.3,
-                z=compute_z(0.3),
                 flipped=False,
             )
 

@@ -1,19 +1,15 @@
 """Margin-bound evaluation, gap arithmetic, verdicts, confidence."""
 
 import math
+import re
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boostbound import (
-    GapReport,
-    check_bound,
-    confidence,
-    epsilon_boost,
-    gap,
-)
+from boostbound import GapReport, check_bound, epsilon_boost
+from boostbound.experiments import RunParams, RunRecord, SweepResult
 
 # Independent evaluation of epsilon_boost(0.5, 25, 1000, 0.05) with mpmath
 # at 60 digits, rounded to double.
@@ -104,6 +100,10 @@ class TestEpsilonBoost:
             epsilon_boost(**kwargs)
 
 
+def gap(train_error, test_error):
+    return GapReport(train_error, test_error, None, math.inf).delta_r
+
+
 class TestGap:
     def test_examples(self):
         assert gap(0.25, 0.30) == pytest.approx(0.05, abs=1e-15)
@@ -111,10 +111,13 @@ class TestGap:
         assert gap(0.0, 0.0) == 0.0
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            gap(-0.1, 0.5)
-        with pytest.raises(ValueError):
-            gap(0.5, 1.2)
+        for train, test, message in [
+            (-0.1, 0.5, "train_error -0.1 outside [0, 1]"),
+            (0.5, 1.2, "test_error 1.2 outside [0, 1]"),
+            (0.5, math.nan, "test_error nan outside [0, 1]"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                gap(train, test)
 
     @settings(max_examples=50, deadline=None)
     @given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0))
@@ -154,18 +157,18 @@ class TestGapReportInvariants:
 
 
 class TestConfidence:
-    def make_report(self, holds):
-        return GapReport(
-            train_error=0.1, test_error=0.2, rho=0.5, epsilon_boost=10.0 if holds else 0.01
-        )
+    def sweep(self, ceilings):
+        params = RunParams(T=1, m=10, d=2, delta=0.05, seed=0, source="synthetic")
+        return SweepResult([
+            RunRecord("m-sweep-d2", params, GapReport(0.1, 0.2, 0.5, c), 0) for c in ceilings
+        ])
 
     def test_three_of_four(self):
-        reports = [self.make_report(h) for h in (True, True, True, False)]
-        assert confidence(reports) == 0.75
+        assert self.sweep([10.0, 10.0, 10.0, 0.01]).confidence == 0.75
 
     def test_all_hold(self):
-        assert confidence([self.make_report(True)] * 5) == 1.0
+        assert self.sweep([10.0] * 5).confidence == 1.0
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            confidence([])
+    def test_inapplicable_records_leave_the_denominator(self):
+        assert self.sweep([10.0, 0.01, math.nan, math.nan]).confidence == 0.5
+        assert self.sweep([math.nan]).confidence is None

@@ -278,7 +278,7 @@ class TestExpCommand:
     def test_default_grids(self, mode, expected):
         cfg = _resolve(_build_parser().parse_args(["exp", mode, "--out", "x"]))
         assert {k: cfg[k] for k in expected} == expected
-        assert (cfg["t_max"], cfg["epochs"], cfg["seed"]) == (10, 10, 42)
+        assert (cfg["t_max"], cfg["epochs"], cfg["seed"], cfg["delta"]) == (10, 10, 42, 0.05)
 
     def test_grid_failure_is_runtime_error(self, tmp_path, capsys):
         gen_out = tmp_path / "gen"
@@ -340,6 +340,9 @@ class TestPlotCommand:
             ),
             (4, "0", "d must be at least 1, got 0"),
             (2, "-5", "T must be at least 1, got -5"),
+            (7, "-0.5", "rho -0.5 outside [0, 1]"),
+            (7, "7", "rho 7.0 outside [0, 1]"),
+            (11, "-3", "epsilon_boost -3.0 is negative"),
         ],
     )
     def test_malformed_row_names_file_and_row(self, tmp_path, capsys, column, text, message):

@@ -15,9 +15,7 @@ from boostbound import (
     Dataset,
     Ensemble,
     PerceptronModel,
-    TrainTrace,
     compute_alpha,
-    compute_z,
     epsilon_boost,
     generate_synthetic,
     split_half,
@@ -43,6 +41,7 @@ from boostbound.experiments import (
     run_iteration_sweep,
     run_real_data,
     run_sample_size_sweep,
+    run_train_cell,
 )
 from boostbound.bound import GapReport
 from boostbound.data import SplitPair, load_csv_split
@@ -91,8 +90,8 @@ def in_process_pool(monkeypatch):
     return pools
 
 
-def make_trace(weight_rows, epsilons=None):
-    """Trace with hand-built rounds."""
+def make_ensemble(weight_rows, epsilons=None):
+    """Ensemble of hand-built rounds."""
     rounds = []
     epsilons = epsilons or [0.25] * len(weight_rows)
     for w, eps in zip(weight_rows, epsilons):
@@ -101,11 +100,10 @@ def make_trace(weight_rows, epsilons=None):
                 hypothesis=PerceptronModel(weights=np.asarray(w, float), bias=0.0),
                 alpha=compute_alpha(eps),
                 epsilon=eps,
-                z=compute_z(eps),
                 flipped=False,
             )
         )
-    return TrainTrace(ensemble=Ensemble(tuple(rounds)))
+    return Ensemble(tuple(rounds))
 
 
 class TestSampleSizeSweep:
@@ -144,11 +142,9 @@ class TestSampleSizeSweep:
             assert recomputed == g.epsilon_boost
 
     def test_confidence_matches_records(self):
-        from boostbound import confidence
-
         result = tiny_m_sweep(n_repeats=2)
-        reports = [r.gap_report for r in result.records if r.applicable]
-        assert result.confidence == confidence(reports)
+        holding = [r.gap_report.holds for r in result.records if r.applicable]
+        assert result.confidence == sum(holding) / len(holding)
 
     def test_rho_measured_on_train_is_unit_interval(self):
         result = tiny_m_sweep()
@@ -402,41 +398,45 @@ class TestRealData:
             run_real_data(halves(self.real_dataset()), "x-sweep", [2], 0.05, 42, **FAST)
 
 
+class TestTrainCell:
+    def pair(self):
+        return halves(generate_synthetic(SyntheticConfig(n_features=4, m_total=40, seed=13)))
+
+    def test_records_the_pair_shape(self):
+        record = run_train_cell(5, 20, 2, 1, 0.05, 7, self.pair())
+        assert (record.params.d, record.params.m, record.params.source) == (5, 20, "real")
+
+    @pytest.mark.parametrize("d, m", [(5, 10), (3, 20), (6, 21)])
+    def test_rejects_d_or_m_that_disagree_with_the_pair(self, d, m):
+        message = f"d={d}, m={m} disagree with the train half (20 rows x 4 features: d=5, m=20)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_train_cell(d, m, 2, 1, 0.05, 7, self.pair())
+
+
 class TestRankFeatures:
     def test_single_nonzero_coordinate(self):
-        trace = make_trace([[0.0, 5.0, 0.0]])
-        assert rank_features(trace, 3) == [1, 0, 2]
-        np.testing.assert_allclose(feature_importances(trace, 3), [0.0, 1.0, 0.0])
+        ens = make_ensemble([[0.0, 5.0, 0.0]])
+        assert rank_features(ens) == [1, 0, 2]
+        np.testing.assert_allclose(feature_importances(ens), [0.0, 1.0, 0.0])
 
     def test_scaling_invariance_of_ranking(self):
-        one = make_trace([[0.0, 5.0, 0.0]])
-        two = make_trace([[0.0, 5.0, 0.0], [0.0, 5.0, 0.0]])
-        assert rank_features(one, 3) == rank_features(two, 3)
+        one = make_ensemble([[0.0, 5.0, 0.0]])
+        two = make_ensemble([[0.0, 5.0, 0.0], [0.0, 5.0, 0.0]])
+        assert rank_features(one) == rank_features(two)
 
     def test_all_zero_weights_tie_break(self):
-        trace = make_trace([[0.0, 0.0, 0.0]])
-        assert rank_features(trace, 3) == [0, 1, 2]
-        np.testing.assert_allclose(feature_importances(trace, 3), [1 / 3] * 3)
+        ens = make_ensemble([[0.0, 0.0, 0.0]])
+        assert rank_features(ens) == [0, 1, 2]
+        np.testing.assert_allclose(feature_importances(ens), [1 / 3] * 3)
 
     def test_flips_do_not_affect_ranking(self):
-        plain = make_trace([[1.0, -4.0]])
-        flipped_round = BoostRound(
-            hypothesis=plain.ensemble.rounds[0].hypothesis,
-            alpha=plain.ensemble.rounds[0].alpha,
-            epsilon=0.25,
-            z=compute_z(0.25),
-            flipped=True,
-        )
-        flipped = TrainTrace(ensemble=Ensemble((flipped_round,)))
-        assert rank_features(plain, 2) == rank_features(flipped, 2) == [1, 0]
+        plain = make_ensemble([[1.0, -4.0]])
+        flipped = Ensemble((replace(plain.rounds[0], flipped=True),))
+        assert rank_features(plain) == rank_features(flipped) == [1, 0]
 
     def test_importances_sum_to_one(self):
-        trace = make_trace([[1.0, 2.0, 3.0], [0.5, 0.0, 1.0]])
-        assert float(np.sum(feature_importances(trace, 3))) == pytest.approx(1.0, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="features"):
-            rank_features(make_trace([[1.0, 2.0]]), 3)
+        ens = make_ensemble([[1.0, 2.0, 3.0], [0.5, 0.0, 1.0]])
+        assert float(np.sum(feature_importances(ens))) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestConfidenceTable:
@@ -448,9 +448,9 @@ class TestConfidenceTable:
     def test_exact_percentages(self):
         def sweep_with(n_holding, n):
             rec = tiny_m_sweep().records[0]
-            ceilings = [math.inf] * n_holding + [-math.inf] * (n - n_holding)
+            ceilings = [math.inf] * n_holding + [0.0] * (n - n_holding)
             return SweepResult([
-                replace(rec, gap_report=replace(rec.gap_report, epsilon_boost=c)) for c in ceilings
+                replace(rec, gap_report=GapReport(0.0, 0.5, None, c)) for c in ceilings
             ])
 
         rows = confidence_table([sweep_with(1, 1), sweep_with(33, 40)])
@@ -497,9 +497,7 @@ class TestPolyfit:
         best = float(np.sum((fit.evaluate(xs) - ys) ** 2))
         for trial in range(20):
             noise = 1e-3 * make_rng(trial).standard_normal(4)
-            perturbed = PolyFit(
-                coefficients=fit.coefficients + noise, order=3, x_scale=fit.x_scale
-            )
+            perturbed = PolyFit(coefficients=fit.coefficients + noise, x_scale=fit.x_scale)
             assert float(np.sum((perturbed.evaluate(xs) - ys) ** 2)) >= best
 
     def test_matches_a_naive_exact_solve_bit_for_bit(self):
