@@ -8,7 +8,6 @@ from .boosting import (
     Ensemble,
     TrainTrace,
     compute_alpha,
-    compute_z,
     train_adaboost,
     update_distribution,
 )

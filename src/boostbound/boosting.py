@@ -1,13 +1,13 @@
 """AdaBoost over perceptron weak learners.
 
 Each round fits a perceptron against the current sample distribution,
-computes its weighted error eps, the vote weight alpha = 0.5*ln((1-eps)/eps)
-and normalizer z = 2*sqrt(eps*(1-eps)), then reweights the sample. Rounds
-worse than chance are negated (``flipped``) so eps <= 1/2 and alpha >= 0
-always; eps is clamped to the fixed floor ``EPSILON_FLOOR`` so alpha stays
-finite on separable data. The new distribution is normalized by its
-empirical sum rather than the closed-form z, which keeps it a probability
-vector even on clamped rounds.
+computes its weighted error eps and the vote weight
+alpha = 0.5*ln((1-eps)/eps), then reweights the sample. Rounds worse than
+chance are negated (``flipped``) so eps <= 1/2 and alpha >= 0 always; eps is
+clamped to the fixed floor ``EPSILON_FLOOR`` so alpha stays finite on
+separable data. The new distribution is normalized by its empirical sum
+rather than the closed-form 2*sqrt(eps*(1-eps)), which keeps it a
+probability vector even on clamped rounds.
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ class BoostRound:
         if self.alpha < 0.0:
             raise ValueError("round alpha must be nonnegative")
 
-    @property
-    def z(self) -> float:
-        return compute_z(self.epsilon)
-
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -61,6 +57,12 @@ class Ensemble:
         object.__setattr__(self, "rounds", tuple(self.rounds))
         if len(self.rounds) < 1:
             raise ValueError("ensemble needs at least one round")
+        n = self.rounds[0].hypothesis.weights.size
+        for t, r in enumerate(self.rounds):
+            if r.hypothesis.weights.size != n:
+                raise ValueError(
+                    f"round {t + 1} has {r.hypothesis.weights.size} weights, round 1 has {n}"
+                )
 
     @property
     def alpha_total(self) -> float:
@@ -79,13 +81,6 @@ def compute_alpha(epsilon: float) -> float:
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon {epsilon!r} outside (0, 1)")
     return 0.5 * math.log((1.0 - epsilon) / epsilon)
-
-
-def compute_z(epsilon: float) -> float:
-    """Normalizer 2*sqrt(eps*(1-eps)); equals 1 iff eps = 1/2."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon {epsilon!r} outside (0, 1)")
-    return 2.0 * math.sqrt(epsilon * (1.0 - epsilon))
 
 
 def update_distribution(

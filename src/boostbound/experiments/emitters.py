@@ -107,7 +107,6 @@ def load_records_csv(path: str | Path) -> SweepResult:
                     rho=None if math.isnan(rho) else rho,
                     epsilon_boost=float(cells[11]),
                 ),
-                wall_time_ms=0,
             )
             g = record.gap_report
             if float(cells[10]) != g.delta_r:

@@ -32,19 +32,11 @@ class RunParams:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One grid cell's parameters plus its measured gap report.
-
-    ``wall_time_ms`` is not part of the deterministic output surface.
-    """
+    """One grid cell's parameters plus its measured gap report."""
 
     experiment_id: str
     params: RunParams
     gap_report: GapReport
-    wall_time_ms: int
-
-    def __post_init__(self) -> None:
-        if self.wall_time_ms < 0:
-            raise ValueError("wall_time_ms must be nonnegative")
 
     @property
     def applicable(self) -> bool:

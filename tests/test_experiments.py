@@ -46,7 +46,7 @@ from boostbound.experiments import (
 from boostbound.bound import GapReport
 from boostbound.data import SplitPair, load_csv_split
 from boostbound.experiments import sweeps
-from boostbound.rng import make_rng
+from boostbound.rng import derive_seed, make_rng
 
 FAST = dict(n_rounds=3, epochs=3)
 
@@ -132,6 +132,21 @@ class TestSampleSizeSweep:
                 assert rx.gap_report == ry.gap_report
                 assert rx.applicable == ry.applicable
 
+    def test_failing_cell_names_itself(self, monkeypatch):
+        train_adaboost = sweeps.train_adaboost
+
+        def fail_at_m20(train, n_rounds, config):
+            if train.n_rows == 20:
+                raise ValueError("boom")
+            return train_adaboost(train, n_rounds, config)
+
+        monkeypatch.setattr(sweeps, "train_adaboost", fail_at_m20)
+        seed = derive_seed(42, 0, 1, 0)  # grid point 1 (m=20), repeat 0
+        message = f"cell m-sweep-d5[T=3, m=20, d=5, seed={seed}] failed: boom"
+        with pytest.raises(RuntimeError, match=re.escape(message)) as info:
+            tiny_m_sweep()
+        assert isinstance(info.value.__cause__, ValueError)
+
     def test_internal_consistency(self):
         result = tiny_m_sweep(n_repeats=2)
         for rec in result.records:
@@ -184,7 +199,7 @@ class TestDimensionSweep:
         pools = in_process_pool(monkeypatch)
         pooled = run_dimension_sweep(20, 2, 80, 26, 0.05, 42, workers=2, **FAST)
         ((_, submitted),) = pools
-        assert [spec.d for spec in submitted] == [80, 54, 28, 2]
+        assert [spec.params.d for spec in submitted] == [80, 54, 28, 2]
         assert [(r.params, r.gap_report, r.applicable) for r in pooled.records] == [
             (r.params, r.gap_report, r.applicable) for r in serial.records
         ]
@@ -545,7 +560,6 @@ def synthetic_result_with_infinite_bound():
         experiment_id="m-sweep-d5",
         params=RunParams(T=3, m=10, d=5, delta=0.05, seed=1, source="synthetic"),
         gap_report=report,
-        wall_time_ms=0,
     )
     return SweepResult((rec,))
 
