@@ -105,6 +105,24 @@ class SplitPair:
     test: Dataset
 
 
+def _draw_synthetic(config: SyntheticConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The still-writable ``(features, labels)`` of :func:`generate_synthetic`,
+    both clusters drawn in stream order into one matrix and shifted in place."""
+    rng = make_rng(config.seed)
+    n_pos = (config.m_total + 1) // 2
+    offset = config.class_sep / math.sqrt(config.n_features)
+    features = np.empty((config.m_total, config.n_features))
+    pos, neg = features[:n_pos], features[n_pos:]
+    rng.standard_normal(out=pos)
+    pos += offset
+    rng.standard_normal(out=neg)
+    neg -= offset
+    labels = np.concatenate([np.ones(n_pos), -np.ones(config.m_total - n_pos)])
+
+    flips = rng.uniform(size=config.m_total) < config.flip_y
+    return features, np.where(flips, -labels, labels)
+
+
 def generate_synthetic(config: SyntheticConfig) -> Dataset:
     """Draw a two-cluster binary classification dataset.
 
@@ -113,20 +131,13 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
     with probability ``flip_y``. Deterministic given ``config.seed``: the
     +1 block is drawn first, then the -1 block, then the flip mask.
     """
-    rng = make_rng(config.seed)
-    n = config.n_features
-    n_pos = (config.m_total + 1) // 2
-    n_neg = config.m_total // 2
-    offset = config.class_sep / math.sqrt(n)
+    return Dataset(*_draw_synthetic(config))
 
-    pos = rng.standard_normal((n_pos, n)) + offset
-    neg = rng.standard_normal((n_neg, n)) - offset
-    features = np.concatenate([pos, neg], axis=0)
-    labels = np.concatenate([np.ones(n_pos), -np.ones(n_neg)])
 
-    flips = rng.uniform(size=config.m_total) < config.flip_y
-    labels = np.where(flips, -labels, labels)
-    return Dataset(features=features, labels=labels)
+def synthetic_split(config: SyntheticConfig, seed: int) -> SplitPair:
+    """``split_half(generate_synthetic(config), seed)``, byte for byte, but the
+    drawn matrix is permuted in place and the halves are slices of it."""
+    return _shuffle_halves(*_draw_synthetic(config), seed)
 
 
 def _shuffle_halves(features: np.ndarray, labels: np.ndarray, seed: int) -> SplitPair:

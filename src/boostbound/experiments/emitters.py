@@ -9,6 +9,7 @@ files and worker-count invariance can be checked by comparing bytes.
 from __future__ import annotations
 
 import math
+import statistics
 from pathlib import Path
 from typing import Sequence
 
@@ -153,18 +154,19 @@ def default_figure(
     median measured margin across applicable runs, one point per distinct
     abscissa; sweeps without bound verdicts get no curve.
     """
-    xs = np.array([record_x(r) for r in result.records])
-    ys = np.array([r.gap_report.delta_r for r in result.records])
-    distinct = int(np.unique(xs).size)
+    xs = [record_x(r) for r in result.records]
+    distinct = len(set(xs))
     fit = None
     if distinct >= 2:
-        order = min(10, distinct - 1)
-        fit = polyfit(list(zip(xs.tolist(), ys.tolist())), order=order)
+        points = [(x, r.gap_report.delta_r) for x, r in zip(xs, result.records)]
+        fit = polyfit(points, order=min(10, distinct - 1))
 
     applicable = [r for r in result.records if r.applicable and r.gap_report.rho is not None]
     curve = None
     if applicable:
-        rho_med = float(np.median([r.gap_report.rho for r in applicable]))
+        # statistics.median gives np.median's value (the middle element, or
+        # (a + b) / 2) without the numpy.ma import that np.median costs.
+        rho_med = float(statistics.median(r.gap_report.rho for r in applicable))
         seen: dict[float, tuple[int, int, float]] = {}
         for r in applicable:
             seen.setdefault(record_x(r), (r.params.d, r.params.m, r.params.delta))

@@ -35,7 +35,6 @@ fixed, configurable number of rounds per cell (default 10).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -48,8 +47,7 @@ from ..data import (
     SplitPair,
     SyntheticConfig,
     columns_in_order,
-    generate_synthetic,
-    split_half,
+    synthetic_split,
 )
 from ..perceptron import PerceptronConfig
 from ..rng import derive_seed, make_rng
@@ -97,10 +95,8 @@ def _cell_data(spec: CellSpec) -> tuple[Dataset, Dataset]:
     """The (train, test) pair the cell trains and scores on."""
     p = spec.params
     if p.source == SOURCE_SYNTHETIC:
-        data = generate_synthetic(
-            SyntheticConfig(n_features=p.d - 1, m_total=2 * p.m, seed=derive_seed(p.seed, 0))
-        )
-        pair = split_half(data, derive_seed(p.seed, 1))
+        config = SyntheticConfig(n_features=p.d - 1, m_total=2 * p.m, seed=derive_seed(p.seed, 0))
+        pair = synthetic_split(config, derive_seed(p.seed, 1))
         return pair.train, pair.test
     train, test = _REAL_CONTEXT["pair"].train, _REAL_CONTEXT["pair"].test
     if spec.experiment_id == _REAL_M:
@@ -153,6 +149,7 @@ def _map_cells(specs: Sequence[CellSpec], workers: int, pair: SplitPair | None =
             return [_run_cell(s) for s in specs]
         finally:
             _set_real_context(None)
+    from concurrent.futures import ProcessPoolExecutor  # a 1-worker run never loads it
     costs = [s.params.m * s.params.T * s.epochs * s.params.d for s in specs]
     order = sorted(range(len(specs)), key=lambda i: -costs[i])
     results = [None] * len(specs)

@@ -1,7 +1,14 @@
 """CLI: exit codes, flags, manifests, reproducibility of emitted files."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import boostbound
 from boostbound.cli import _build_parser, _resolve, dispatch
 from boostbound.data import load_csv
 from boostbound.experiments import load_records_csv
@@ -359,3 +366,41 @@ class TestPlotCommand:
         capsys.readouterr()
         assert run(["plot", "--data", bad, "--out", tmp_path / "p"]) == 2
         assert capsys.readouterr().err == f"error: {bad}: row 4: {message}\n"
+
+
+# Runs tiny m-sweep, real-m and plot commands through cli.dispatch in a fresh
+# interpreter and prints which of the given modules they loaded.
+_FOOTPRINT = """
+import contextlib, io, json, sys
+from boostbound import cli
+
+out, data, workers = sys.argv[1:4]
+tiny = ["--m-min", "10", "--m-max", "20", "--m-step", "10", "--t-max", "2",
+        "--epochs", "1", "--workers", workers]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        cli.dispatch(["exp", "m-sweep", "--d", "3", *tiny, "--out", out + "/m"]),
+        cli.dispatch(["exp", "real-m", "--data", data, *tiny, "--out", out + "/r"]),
+        cli.dispatch(["plot", "--data", out + "/r/real-m.csv", "--out", out + "/p"]),
+    ]
+print(json.dumps([codes, [m for m in sys.argv[4:] if m in sys.modules]]))
+"""
+
+
+class TestImportFootprint:
+    @pytest.mark.parametrize(
+        "workers, loaded", [(1, []), (2, ["concurrent.futures.process"])]
+    )
+    def test_a_run_loads_only_the_modules_it_uses(self, tmp_path, workers, loaded):
+        # numpy.ma (which np.median and np.unique import) costs ~1.3 MB and
+        # the process pool module ~2 MB of every run's resident set.
+        src = str(Path(boostbound.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        heart = Path(__file__).parent / "golden" / "heart.csv"
+        args = [tmp_path, heart, workers, "numpy.ma", "concurrent.futures.process"]
+        done = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT, *map(str, args)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert json.loads(done.stdout) == [[0, 0, 0], loaded]

@@ -20,6 +20,7 @@ from boostbound import (
     load_csv_split,
     split_half,
 )
+from boostbound.data import synthetic_split
 from boostbound.perceptron import (
     Distribution,
     PerceptronConfig,
@@ -184,6 +185,65 @@ class TestGenerateSynthetic:
         a, b = generate_synthetic(cfg), generate_synthetic(cfg)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+
+def two_block_draw(config):
+    """The synthetic draw as first written, kept as an oracle: each cluster
+    from its own ``standard_normal(size)`` call, shifted, then concatenated."""
+    rng = make_rng(config.seed)
+    n = config.n_features
+    n_pos, n_neg = (config.m_total + 1) // 2, config.m_total // 2
+    offset = config.class_sep / math.sqrt(n)
+    pos = rng.standard_normal((n_pos, n)) + offset
+    neg = rng.standard_normal((n_neg, n)) - offset
+    labels = np.concatenate([np.ones(n_pos), -np.ones(n_neg)])
+    flips = rng.uniform(size=config.m_total) < config.flip_y
+    return np.concatenate([pos, neg], axis=0), np.where(flips, -labels, labels)
+
+
+synthetic_configs = st.builds(
+    SyntheticConfig,
+    n_features=st.integers(1, 30),
+    m_total=st.integers(2, 301),
+    class_sep=st.floats(0.0, 10.0),
+    flip_y=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**64 - 1),
+)
+
+
+class TestSyntheticBits:
+    @settings(max_examples=80, deadline=None)
+    @given(config=synthetic_configs)
+    def test_generate_equals_the_two_block_draw(self, config):
+        features, labels = two_block_draw(config)
+        ds = generate_synthetic(config)
+        assert ds.features.shape == features.shape
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(config=synthetic_configs, seed=st.integers(0, 2**64 - 1))
+    def test_synthetic_split_equals_split_half_of_generate(self, config, seed):
+        want = split_half(generate_synthetic(config), seed)
+        got = synthetic_split(config, seed)
+        for g, w in ((got.train, want.train), (got.test, want.test)):
+            assert g.features.shape == w.features.shape
+            assert g.features.tobytes() == w.features.tobytes()
+            assert g.labels.tobytes() == w.labels.tobytes()
+            with pytest.raises(ValueError):
+                g.features[0, 0] = 1.0
+
+    def test_synthetic_split_holds_the_rows_once(self):
+        config = SyntheticConfig(n_features=20, m_total=5001, seed=5)
+        tracemalloc.start()
+        try:
+            pair = synthetic_split(config, seed=6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        halves = (pair.train, pair.test)
+        assert sum(h.n_rows for h in halves) == config.m_total
+        assert peak <= 1.5 * sum(h.features.nbytes + h.labels.nbytes for h in halves)
 
 
 class TestSplitHalf:

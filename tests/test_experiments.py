@@ -1,5 +1,6 @@
 """Sweep orchestration, polynomial fits, CSV/SVG emitters, feature ranking."""
 
+import concurrent.futures
 import math
 import re
 import tracemalloc
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from boostbound import (
     Dataset,
@@ -43,7 +46,7 @@ from boostbound.experiments import (
     run_sample_size_sweep,
     run_train_cell,
 )
-from boostbound.bound import GapReport
+from boostbound.bound import GapReport, check_bound
 from boostbound.data import SplitPair, load_csv_split
 from boostbound.experiments import sweeps
 from boostbound.rng import derive_seed, make_rng
@@ -86,7 +89,7 @@ def in_process_pool(monkeypatch):
             self.submitted.extend(specs)
             return [fn(s) for s in specs]
 
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return pools
 
 
@@ -699,6 +702,40 @@ class TestEmitters:
 
 
 class TestDefaultFigure:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(
+                st.sampled_from([10, 20, 30, 40]),
+                st.sampled_from([0.0, 0.125, 0.3, 1.0]) | st.floats(0.0, 1.0),
+            ),
+            min_size=1,
+            max_size=15,
+        )
+    )
+    @example(cells=[(10, 0.3), (20, 0.1), (30, 0.3)])  # odd, tied
+    @example(cells=[(10, 0.3), (20, 0.1), (20, 0.7), (30, 0.2)])  # even
+    @example(cells=[(10, 0.5), (10, 0.5)])  # one abscissa, tied
+    def test_median_margin_and_distinct_count_equal_numpys(self, cells):
+        records = [
+            RunRecord(
+                "m-sweep-d5",
+                RunParams(T=3, m=m, d=5, delta=0.05, seed=i, source="synthetic"),
+                check_bound(0.1, 0.2, rho, 5, m, 0.05),
+            )
+            for i, (m, rho) in enumerate(cells)
+        ]
+        fit, curve = default_figure(SweepResult(records))
+        distinct = int(np.unique([float(m) for m, _ in cells]).size)
+        if distinct < 2:
+            assert fit is None
+        else:
+            assert fit.coefficients.size == min(10, distinct - 1) + 1
+        med = float(np.median([rho for _, rho in cells]))
+        assert curve == [
+            (float(m), epsilon_boost(med, 5, m, 0.05)) for m in sorted({m for m, _ in cells})
+        ]
+
     def test_bound_curve_sorted_and_applicable_only(self):
         result = tiny_m_sweep(n_repeats=2)
         fit, curve = default_figure(result)
