@@ -30,6 +30,9 @@ from .rng import derive_seed
 
 EPSILON_FLOOR = 1e-10
 
+# Rows :func:`evaluate` converts to float64 and scores at a time.
+EVAL_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class BoostRound:
@@ -116,12 +119,15 @@ def train_adaboost(
     (weak_config.seed, t), so a longer run is an exact extension of a
     shorter one. A round whose raw weighted error exceeds 1/2 has its
     hypothesis negated and its error replaced by 1 - eps; the error is
-    then clamped into [EPSILON_FLOOR, 1/2] before alpha.
+    then clamped into [EPSILON_FLOOR, 1/2] before alpha. A uint8 matrix is
+    converted to float64 once, here.
     """
     if train.n_rows < 1:
         raise ValueError("training dataset is empty")
     if n_rounds < 1:
         raise ValueError("n_rounds must be at least 1")
+    if train.features.dtype != np.float64:
+        train = Dataset(train.features.astype(np.float64), train.labels)
 
     dist = Distribution.uniform(train.n_rows)
     rounds: list[BoostRound] = []
@@ -148,7 +154,7 @@ def round_predictions(round_: BoostRound, features: np.ndarray) -> np.ndarray:
 
 
 def evaluate(ens: Ensemble, data: Dataset) -> tuple[np.ndarray, float | None]:
-    """Staged errors and L1 margin of ``ens`` on ``data`` from one running vote sum.
+    """Staged errors and L1 margin of ``ens`` on ``data`` from running vote sums.
 
     ``staged[t-1]`` is the misclassification rate of the prefix ensemble of
     rounds 1..t, with sign(0) = +1. That equals retraining with t rounds,
@@ -157,16 +163,25 @@ def evaluate(ens: Ensemble, data: Dataset) -> tuple[np.ndarray, float | None]:
     lies in [0, 1] since every hypothesis outputs +/-1, and is None when all
     alphas are zero (the margin is undefined; the bound treats it as an
     infinite ceiling).
+
+    The rows are converted to float64 and scored ``EVAL_BLOCK_ROWS`` at a
+    time. A row's score does not depend on its block, so the staged mistake
+    counts are sums over blocks and the minimum |score| a minimum over them,
+    and a large half is never held as float64 whole.
     """
     if data.n_rows < 1:
         raise ValueError("dataset is empty")
-    positive = data.labels > 0.0
-    scores = np.zeros(data.n_rows)
-    staged = np.empty(len(ens.rounds))
-    for t, r in enumerate(ens.rounds):
-        scores += r.alpha * round_predictions(r, data.features)
-        staged[t] = np.count_nonzero((scores >= 0.0) != positive) / data.n_rows
+    mistakes = np.zeros(len(ens.rounds), dtype=np.int64)
+    min_score = math.inf
+    for start in range(0, data.n_rows, EVAL_BLOCK_ROWS):
+        rows = slice(start, start + EVAL_BLOCK_ROWS)
+        features = np.asarray(data.features[rows], dtype=np.float64)
+        positive = data.labels[rows] > 0.0
+        scores = np.zeros(len(features))
+        for t, r in enumerate(ens.rounds):
+            scores += r.alpha * round_predictions(r, features)
+            mistakes[t] += np.count_nonzero((scores >= 0.0) != positive)
+        min_score = min(min_score, float(np.min(np.abs(scores))))
     total = ens.alpha_total
-    rho = None if total == 0.0 else float(np.min(np.abs(scores))) / total
-    return staged, rho
-
+    rho = None if total == 0.0 else min_score / total
+    return mistakes / data.n_rows, rho

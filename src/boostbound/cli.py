@@ -14,6 +14,7 @@ byte-for-byte. Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import os
 import sys
@@ -229,10 +230,24 @@ def _write_dataset_csv(dataset: Dataset, path: Path) -> None:
 
 def _load_real_halves(cfg: dict, seed: int) -> SplitPair:
     """Load --data and split it with ``seed``; the target defaults to the
-    first header cell."""
+    first header cell and the positive value to "1". A target that puts
+    every row in one class is refused: nothing could be learned or bounded."""
     _require(cfg, "data")
-    positive = cfg.get("positive_value") or "1"
-    return load_csv_split(cfg["data"], cfg.get("target_column"), positive, seed)
+    path, target, positive = cfg["data"], cfg.get("target_column"), cfg.get("positive_value")
+    positive = "1" if positive is None else positive
+    pair = load_csv_split(path, target, positive, seed)
+    halves = (pair.train, pair.test)
+    n_positive = sum(int((h.labels > 0.0).sum()) for h in halves)
+    n_negative = sum(h.n_rows for h in halves) - n_positive
+    if n_positive == 0 or n_negative == 0:
+        if target is None:
+            with open(path, encoding="utf-8", newline="") as fh:
+                target = next(csv.reader(fh))[0].strip()
+        raise ValueError(
+            f"{path}: target column {target!r} with positive value {positive!r} gives "
+            f"{n_positive} positive and {n_negative} negative rows; both classes are needed"
+        )
+    return pair
 
 
 def _cmd_gen(cfg: dict) -> None:

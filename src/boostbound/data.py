@@ -10,6 +10,7 @@ label flipping at rate ``flip_y``.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from contextlib import contextmanager
@@ -21,11 +22,17 @@ import numpy as np
 
 from .rng import make_rng
 
+# Data lines :func:`load_csv` parses at a time: its float64 scratch block is
+# small next to the table, even for a float-valued file of a few thousand rows.
+LOAD_BLOCK_ROWS = 1024
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    """A read-only float64 view of ``a`` with contiguous rows; the caller's
-    own array keeps its flags."""
-    a = np.asarray(a, dtype=np.float64)
+    """A read-only view of ``a`` with contiguous rows, uint8 if ``a`` is uint8
+    and float64 otherwise; the caller's own array keeps its flags."""
+    a = np.asarray(a)
+    if a.dtype != np.uint8:
+        a = a.astype(np.float64, copy=False)
     if a.strides[-1] != a.itemsize:
         a = np.ascontiguousarray(a)
     a = a.view()
@@ -37,8 +44,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class Dataset:
     """Feature matrix (m rows x n columns) with labels in {-1, +1}.
 
-    Both arrays are read-only; a float64 matrix with contiguous rows, such
-    as ``X[:, :k]``, stays a view of its owner's buffer. Invalid labels,
+    Labels are float64. Features are float64, or uint8 as given: a table of
+    small non-negative integers, as ``load_csv`` keeps one, whose float64
+    conversion is exact. Computation always reads float64; ``train_adaboost``
+    and ``fit_perceptron`` convert a uint8 matrix once, ``evaluate`` block by
+    block. Both arrays are read-only; a matrix with contiguous rows, such as
+    ``X[:, :k]``, stays a view of its owner's buffer. Invalid labels,
     non-finite features, or mismatched lengths are rejected here.
     """
 
@@ -47,7 +58,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         features = _freeze(np.atleast_2d(self.features))
-        labels = _freeze(np.asarray(self.labels).ravel())
+        labels = _freeze(np.asarray(self.labels, dtype=np.float64).ravel())
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         if features.ndim != 2:
@@ -56,7 +67,7 @@ class Dataset:
             raise ValueError(
                 f"labels length {labels.shape[0]} != row count {features.shape[0]}"
             )
-        if not np.all(np.isfinite(features)):
+        if features.dtype == np.float64 and not np.all(np.isfinite(features)):
             raise ValueError("features contain NaN or infinite entries")
         if not np.all(np.abs(labels) == 1.0):
             raise ValueError("every label must be exactly -1 or +1")
@@ -212,15 +223,43 @@ def _raise_at_first_bad_row(path: Path, header: list[str], target_idx: int) -> N
             _parse_row(path, line_no, names, cells)
 
 
-def _drop_column(table: np.ndarray, column: int) -> None:
-    """Pack every row of ``table`` less ``column`` into the front of its
-    buffer, 128 rows at a time: with n kept columns, row i moves to offset
-    i * n, never past where rows i + 1 onward are read."""
-    m, n = table.shape[0], table.shape[1] - 1
-    packed = table.reshape(-1)[: m * n].reshape(m, n)
-    for start in range(0, m, 128):
-        block = table[start : start + 128]
-        packed[start : start + len(block)] = np.delete(block, column, axis=1)
+def _line_breaks(path: Path) -> int:
+    """The line breaks (``\\n``, ``\\r`` or ``\\r\\n``) in the file: at least
+    as many as its lines after the header."""
+    breaks, after_cr = 0, False
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            breaks += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+            breaks -= after_cr and chunk.startswith(b"\n")
+            after_cr = chunk.endswith(b"\r")
+    return breaks
+
+
+def _small_integers(block: np.ndarray, skip: int) -> bool:
+    """Whether every cell of ``block`` outside column ``skip`` is an integer in
+    0..255 other than -0.0, so that uint8 holds it exactly."""
+    bad = np.signbit(block) | (block > 255.0) | (np.trunc(block) != block)
+    bad[:, skip] = False
+    return not bad.any()
+
+
+def _parse_block(
+    lines: Iterator[str], n_cells: int, target_idx: int, positive_value: str
+) -> np.ndarray:
+    """The next ``LOAD_BLOCK_ROWS`` data lines as a float64 block of every
+    column, the target mapped to +1/-1; empty past the last line. A row of
+    the wrong length or a cell that is not a finite real raises ValueError."""
+    block = np.loadtxt(
+        itertools.islice(lines, LOAD_BLOCK_ROWS),
+        delimiter=",",
+        comments=None,
+        quotechar='"',
+        ndmin=2,
+        converters={target_idx: lambda c: 1.0 if c.strip() == positive_value else -1.0},
+    )
+    if len(block) and (block.shape[1] != n_cells or not np.isfinite(block).all()):
+        raise ValueError("unreadable data rows")
+    return block
 
 
 def _read_csv(
@@ -230,6 +269,7 @@ def _read_csv(
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
+    capacity = _line_breaks(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader, [])]
@@ -241,38 +281,40 @@ def _read_csv(
                 f"{path}: target column {target_column!r} not in header {header}"
             )
         target_idx = header.index(target_column)
-        error = None
+        table = np.empty((capacity, len(header) - 1), dtype=np.uint8)
+        labels = np.empty(capacity)
+        lines = (line for line in fh if not line.isspace())
+        m, error = 0, None
         with warnings.catch_warnings():
-            # a header with no data rows is reported below
+            # the block past the last data line is empty
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             try:
-                table = np.loadtxt(
-                    (line for line in fh if not line.isspace()),
-                    delimiter=",",
-                    comments=None,
-                    quotechar='"',
-                    ndmin=2,
-                    converters={
-                        target_idx: lambda c: 1.0 if c.strip() == positive_value else -1.0
-                    },
-                )
+                while len(block := _parse_block(lines, len(header), target_idx, positive_value)):
+                    if table.dtype == np.uint8 and not _small_integers(block, target_idx):
+                        # a value uint8 cannot hold: widen the whole table, once
+                        wide = np.empty(table.shape)
+                        wide[:m] = table[:m]
+                        table = wide
+                    rows = slice(m, m + len(block))
+                    labels[rows] = block[:, target_idx]
+                    table[rows, :target_idx] = block[:, :target_idx]
+                    table[rows, target_idx:] = block[:, target_idx + 1 :]
+                    m += len(block)
+                    del block  # so the next block is parsed without this one held
             except ValueError as exc:
                 error = exc
-    if error is None and len(table) == 0:
-        raise ValueError(f"{path}: no data rows after the header")
-    if error is not None or table.shape[1] != len(header) or not np.isfinite(table).all():
+    if error is not None:
         _raise_at_first_bad_row(path, header, target_idx)
-        raise ValueError(f"{path}: {error or 'unreadable data rows'}") from error
-
-    labels = table[:, target_idx].copy()
-    m, n = table.shape[0], table.shape[1] - 1
-    _drop_column(table, target_idx)
-    # Free the buffer's dead tail. No view of ``table`` outlives _drop_column,
-    # so skipping resize's reference check is safe; the check would refuse
-    # under a trace or profile hook (pdb, cProfile, coverage), whose snapshot
-    # of this frame's locals holds one more reference to ``table``.
-    table.resize(m * n, refcheck=False)
-    return table.reshape(m, n), labels
+        raise ValueError(f"{path}: {error}") from error
+    if m == 0:
+        raise ValueError(f"{path}: no data rows after the header")
+    # Free the rows past the data. No view of ``table`` or ``labels`` is
+    # left, so skipping resize's reference check is safe; the check would
+    # refuse under a trace or profile hook (pdb, cProfile, coverage), whose
+    # snapshot of this frame's locals holds one more reference to each.
+    table.resize((m, table.shape[1]), refcheck=False)
+    labels.resize(m, refcheck=False)
+    return table, labels
 
 
 def load_csv(
@@ -286,10 +328,16 @@ def load_csv(
     features in header order. Whitespace-only lines are skipped. Rows are
     reported 1-based counting the header as row 1.
 
-    The data lines go through one ``np.loadtxt`` pass into a float64 table
-    of every column, and the target column is then dropped in place, so
-    loading holds about the table itself. Only a file that fails is read
-    again, row by row, to name its first bad row or cell in file order.
+    The features are kept as uint8 when every one is an integer in 0..255
+    other than -0.0, and as float64 otherwise; either way their float64
+    values are the cells' ``float`` values. The data lines are parsed by
+    ``np.loadtxt``, ``LOAD_BLOCK_ROWS`` at a time, into a feature matrix
+    preallocated from the file's line count and trimmed to the rows read;
+    the matrix starts as uint8 and is widened to float64, once, at the first
+    block with another value. So loading holds about the matrix itself,
+    and an integer-valued file is never held as float64. Only a file that
+    fails is read again, row by row, to name its first bad row or cell in
+    file order.
     """
     return Dataset(*_read_csv(path, target_column, positive_value))
 
@@ -299,7 +347,8 @@ def load_csv_split(
 ) -> SplitPair:
     """``split_half(load_csv(path, ...), seed)``, without a second copy.
 
-    The halves are byte-identical to that call's, but the loaded matrix is
+    The halves are byte-identical to that call's, in the same dtype (uint8
+    for a table of small non-negative integers), but the loaded matrix is
     permuted in place and the halves are slices of it, so the data is held
     once.
     """

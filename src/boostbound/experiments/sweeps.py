@@ -7,13 +7,14 @@ function, ``_run_cell``:
 
   * data  - ``_cell_data`` returns its (train, test) pair: synthetic data
             of dimension d-1 split into two halves of m rows; a seeded
-            m-row subsample of a real train half (real m-sweep); or views
-            of the first d-1 columns of both real halves, which the real
-            d-sweep holds in importance order and which the ``train``
-            command takes whole;
+            m-row subsample of a real train half, as float64 (real
+            m-sweep); or views of the first d-1 columns of both real
+            halves, which the real d-sweep holds in importance order and
+            which the ``train`` command takes whole;
   * train - T boosting rounds on the train half;
   * score - one ``boosting.evaluate`` pass per half gives the staged train
-            and test errors over rounds 1..T and the training margin rho.
+            and test errors over rounds 1..T and the training margin rho,
+            the cell's ``CellResult``.
 
 The iteration sweep averages the staged curves of its repeats. Every other
 sweep hands each cell's result to ``_verdict``, which judges the final gap
@@ -75,6 +76,16 @@ class CellSpec:
     epochs: int
 
 
+@dataclass(frozen=True)
+class CellResult:
+    """What a cell measured: staged train and test errors over rounds 1..T
+    and the training margin rho (None when every alpha is zero)."""
+
+    train_errors: np.ndarray
+    test_errors: np.ndarray
+    rho: float | None
+
+
 def _cell_error(spec: CellSpec, exc: Exception) -> RuntimeError:
     p = spec.params
     return RuntimeError(
@@ -101,13 +112,13 @@ def _cell_data(spec: CellSpec) -> tuple[Dataset, Dataset]:
     train, test = _REAL_CONTEXT["pair"].train, _REAL_CONTEXT["pair"].test
     if spec.experiment_id == _REAL_M:
         rows = make_rng(derive_seed(p.seed, 3)).choice(train.n_rows, size=p.m, replace=False)
-        return Dataset(features=train.features[rows], labels=train.labels[rows]), test
+        features = train.features[rows].astype(np.float64, copy=False)
+        return Dataset(features=features, labels=train.labels[rows]), test
     return tuple(Dataset(h.features[:, : p.d - 1], h.labels) for h in (train, test))
 
 
-def _run_cell(spec: CellSpec) -> tuple[np.ndarray, np.ndarray, float | None]:
-    """Train one cell and score it: staged train and test errors over rounds
-    1..T and the training margin rho."""
+def _run_cell(spec: CellSpec) -> CellResult:
+    """Train one cell and score it on both halves."""
     p = spec.params
     try:
         train, test = _cell_data(spec)
@@ -117,24 +128,25 @@ def _run_cell(spec: CellSpec) -> tuple[np.ndarray, np.ndarray, float | None]:
         test_errors = evaluate(ensemble, test)[0]
     except Exception as exc:
         raise _cell_error(spec, exc) from exc
-    return train_errors, test_errors, rho
+    return CellResult(train_errors, test_errors, rho)
 
 
-def _verdict(spec: CellSpec, cell: tuple) -> RunRecord:
+def _verdict(spec: CellSpec, cell: CellResult) -> RunRecord:
     """Judge a cell's final gap against the bound (d > e*m gives an
     inapplicable record)."""
-    train_errors, test_errors, rho = cell
     p = spec.params
     return RunRecord(
         experiment_id=spec.experiment_id,
         params=p,
         gap_report=check_bound(
-            float(train_errors[-1]), float(test_errors[-1]), rho, p.d, p.m, p.delta
+            float(cell.train_errors[-1]), float(cell.test_errors[-1]), cell.rho, p.d, p.m, p.delta
         ),
     )
 
 
-def _map_cells(specs: Sequence[CellSpec], workers: int, pair: SplitPair | None = None) -> list:
+def _map_cells(
+    specs: Sequence[CellSpec], workers: int, pair: SplitPair | None = None
+) -> list[CellResult]:
     """Run ``_run_cell`` on ``pair``'s halves and return the results in spec
     order, never arrival order.
 
@@ -297,8 +309,8 @@ def run_iteration_sweep(
         eid, SOURCE_SYNTHETIC, [(m, d)], math.nan, master_seed, n_repeats, t_max, epochs
     )
     cells = _map_cells(specs, workers)
-    mean_train = np.stack([c[0] for c in cells]).mean(axis=0)
-    mean_test = np.stack([c[1] for c in cells]).mean(axis=0)
+    mean_train = np.stack([c.train_errors for c in cells]).mean(axis=0)
+    mean_test = np.stack([c.test_errors for c in cells]).mean(axis=0)
     records = [
         RunRecord(
             experiment_id=eid,

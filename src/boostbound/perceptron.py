@@ -81,9 +81,10 @@ def fit_perceptron(
     labels as Python floats, and a list of row views. A visit scores with
     ``row.dot(w)``, one ``ddot`` per row as in :func:`predict_many`, so the
     weights and bias are bit for bit those of the per-visit loop that
-    ``tests/test_perceptron.py`` keeps as its oracle.
+    ``tests/test_perceptron.py`` keeps as its oracle. A uint8 matrix is
+    converted to float64 once, first; a float64 one is used as it is.
     """
-    X, y = train.features, train.labels
+    X, y = np.asarray(train.features, dtype=np.float64), train.labels
     m, n = X.shape
     if dist.probabilities.shape[0] != m:
         raise ValueError(

@@ -20,8 +20,8 @@ from boostbound import (
     train_adaboost,
     update_distribution,
 )
-from boostbound.boosting import evaluate, round_predictions
-from boostbound.perceptron import error_mass
+from boostbound.boosting import EVAL_BLOCK_ROWS, evaluate, round_predictions
+from boostbound.perceptron import error_mass, fit_perceptron
 from boostbound.rng import make_rng
 
 # High-precision anchors (mpmath, 50 digits, rounded to double).
@@ -414,6 +414,55 @@ class TestL1Margin:
         ens = Ensemble((make_round([1.0], 0.0, epsilon=0.5),))
         staged, rho = evaluate(ens, ds)
         assert (staged.tolist(), rho) == ([1.0], None)
+
+
+def one_block_evaluate(ens, data):
+    """``evaluate`` as one vote sum over every row at once, kept as the
+    oracle for its block-wise scoring: staged errors, rho and the scores."""
+    features = np.asarray(data.features, dtype=np.float64)
+    positive = data.labels > 0.0
+    scores = np.zeros(data.n_rows)
+    staged = []
+    for r in ens.rounds:
+        scores += r.alpha * round_predictions(r, features)
+        staged.append(np.count_nonzero((scores >= 0.0) != positive) / data.n_rows)
+    return np.array(staged), float(np.min(np.abs(scores))) / ens.alpha_total, scores
+
+
+class TestBlockwiseEvaluation:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_equals_the_one_block_oracle_bit_for_bit(self, dtype):
+        rng = make_rng(4)
+        m = 2 * EVAL_BLOCK_ROWS + 5
+        X = rng.integers(0, 31, (m, 6)).astype(dtype)
+        y = np.where(X[:, 0] - X[:, 1] + rng.normal(0, 5, m) >= 0, 1.0, -1.0)
+        sub = Dataset(X[:300], y[:300])
+        ens = train_adaboost(sub, 6, PerceptronConfig(epochs=2, seed=1)).ensemble
+        # rows by descending |score|, so the smallest |score| is in the last block
+        order = np.argsort(-np.abs(one_block_evaluate(ens, Dataset(X, y))[2]), kind="stable")
+        ds = Dataset(X[order], y[order])
+        assert ds.features.dtype == dtype
+        staged, rho = evaluate(ens, ds)
+        want_staged, want_rho, scores = one_block_evaluate(ens, ds)
+        assert np.abs(scores[:EVAL_BLOCK_ROWS]).min() > np.abs(scores).min()
+        assert staged.tobytes() == want_staged.tobytes()
+        assert rho == want_rho
+
+    def test_a_uint8_matrix_trains_as_its_float64_conversion(self):
+        rng = make_rng(5)
+        X = rng.integers(0, 256, (200, 5)).astype(np.uint8)
+        y = np.where(rng.random(200) < 0.4, 1.0, -1.0)
+        narrow, wide = Dataset(X, y), Dataset(X.astype(np.float64), y)
+        config = PerceptronConfig(epochs=3, seed=2)
+        a = train_adaboost(narrow, 4, config).ensemble
+        b = train_adaboost(wide, 4, config).ensemble
+        for ra, rb in zip(a.rounds, b.rounds):
+            assert ra.hypothesis.weights.tobytes() == rb.hypothesis.weights.tobytes()
+            assert ra.hypothesis.bias == rb.hypothesis.bias
+            assert (ra.alpha, ra.epsilon, ra.flipped) == (rb.alpha, rb.epsilon, rb.flipped)
+        dist = Distribution.uniform(200)
+        fa, fb = fit_perceptron(narrow, dist, config), fit_perceptron(wide, dist, config)
+        assert fa.weights.tobytes() == fb.weights.tobytes() and fa.bias == fb.bias
 
 
 class TestScaleInvariance:

@@ -147,6 +147,39 @@ class TestTrainCommand:
         assert load_records_csv(out / "report.csv").records[0].params.m == 4
 
 
+    def test_an_empty_positive_value_marks_empty_target_cells(self, tmp_path, capsys):
+        path = tmp_path / "blank.csv"
+        rows = [f"{'' if i % 2 else '0'},{i}" for i in range(6)]
+        path.write_text("\n".join(["y,x"] + rows) + "\n", encoding="utf-8")
+        out = tmp_path / "t"
+        args = ["train", "--data", path, "--t-max", "2", "--epochs", "2", "--out", out]
+        assert run(args + ["--positive-value", ""]) == 0, capsys.readouterr().err
+        assert "positive_value = \n" in (out / "manifest").read_text()
+        again = tmp_path / "again"
+        assert run(["train", "--config", out / "manifest", "--out", again]) == 0
+        assert (again / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
+        # without the flag no cell equals the default "1": one class, refused
+        assert run(args) == 2
+        assert "gives 0 positive and 6 negative rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["train"], ["exp", "real-m"], ["exp", "real-d"]])
+    def test_a_target_with_one_class_is_refused(self, tmp_path, capsys, command):
+        path = tmp_path / "raw.csv"
+        rows = [f"{i % 2}.0,{i},{i % 3}" for i in range(8)]  # "1.0" is not "1"
+        path.write_text("\n".join(["HeartDisease,a,b"] + rows) + "\n", encoding="utf-8")
+        code = run(command + ["--data", path, "--out", tmp_path / "o"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: target column 'HeartDisease' with positive value '1' gives "
+            "0 positive and 8 negative rows; both classes are needed\n"
+        )
+        args = command + ["--data", path, "--positive-value", "1.0", "--target-column", "a"]
+        assert run(args + ["--out", tmp_path / "p"]) == 2
+        assert "target column 'a' with positive value '1.0' gives 0 positive and 8 negative" in (
+            capsys.readouterr().err
+        )
+
+
 class TestExpCommand:
     def test_m_sweep_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "m"

@@ -20,7 +20,7 @@ from boostbound import (
     load_csv_split,
     split_half,
 )
-from boostbound.data import synthetic_split
+from boostbound.data import LOAD_BLOCK_ROWS, synthetic_split
 from boostbound.perceptron import (
     Distribution,
     PerceptronConfig,
@@ -28,11 +28,6 @@ from boostbound.perceptron import (
     predict_many,
 )
 from boostbound.rng import make_rng
-
-# Row count of the chunks an earlier loader converted at a time; the
-# row-boundary tests below keep checking the rows around it.
-_CHUNK_ROWS = 128
-
 
 def small_dataset(m=6, n=3, seed=0):
     rng = np.random.default_rng(seed)
@@ -52,6 +47,29 @@ def write_random_csv(path, rows, n_cols=21):
         writer.writerow(["t"] + [f"x{i}" for i in range(n_cols)])
         writer.writerows([[int(r[0])] + [repr(v) for v in r[1:]] for r in table.tolist()])
     return table
+
+
+def storage_dtype(values):
+    """The dtype the loader keeps a table of ``values`` in: uint8 when every
+    value is an integer in 0..255 that is not -0.0, float64 otherwise."""
+    small = all(
+        v.is_integer() and 0.0 <= v <= 255.0 and math.copysign(1.0, v) == 1.0 for v in values
+    )
+    return np.uint8 if small else np.float64
+
+
+def integer_rows(n_rows, n_cols=3, seed=0):
+    """Text cells of a 0/1 target and ``n_cols`` features in 0..255."""
+    rng = np.random.default_rng(seed)
+    table = np.column_stack([rng.integers(0, 2, n_rows), rng.integers(0, 256, (n_rows, n_cols))])
+    return [[str(v) for v in row] for row in table.tolist()]
+
+
+def write_rows(path, rows):
+    """A CSV of ``rows`` under the header t, x0, x1, ...; returns its path."""
+    header = ",".join(["t"] + [f"x{j}" for j in range(len(rows[0]) - 1)])
+    path.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n", encoding="utf-8")
+    return path
 
 
 class TestDatasetInvariants:
@@ -411,27 +429,29 @@ class TestLoadCsv:
             load_csv(path, target_column="t", positive_value="1")
 
     @pytest.mark.parametrize("cell", ["oops", "inf"])
-    @pytest.mark.parametrize("row", [_CHUNK_ROWS - 1, _CHUNK_ROWS], ids=["last", "next-first"])
+    @pytest.mark.parametrize(
+        "row", [LOAD_BLOCK_ROWS - 1, LOAD_BLOCK_ROWS], ids=["last", "next-first"]
+    )
     def test_bad_cell_at_a_chunk_boundary_names_its_row(self, tmp_path, row, cell):
-        lines = csv_text(2 * _CHUNK_ROWS + 3).splitlines()
+        lines = csv_text(2 * LOAD_BLOCK_ROWS + 3).splitlines()
         lines[row + 1] = f"0,{cell},1"  # data row `row` is file row row + 2
         path = self.write(tmp_path, "\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=rf"row {row + 2}, column 'a': cannot parse '{cell}'"):
             load_csv(path, target_column="t", positive_value="1")
 
     def test_bad_cell_before_a_ragged_row_in_its_chunk_wins(self, tmp_path):
-        lines = csv_text(2 * _CHUNK_ROWS + 3).splitlines()
-        lines[_CHUNK_ROWS + 10] = "0,oops,1"
-        lines[_CHUNK_ROWS + 20] = "0,1"
+        lines = csv_text(2 * LOAD_BLOCK_ROWS + 3).splitlines()
+        lines[LOAD_BLOCK_ROWS + 10] = "0,oops,1"
+        lines[LOAD_BLOCK_ROWS + 20] = "0,1"
         path = self.write(tmp_path, "\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=rf"row {_CHUNK_ROWS + 11}, column 'a'"):
+        with pytest.raises(ValueError, match=rf"row {LOAD_BLOCK_ROWS + 11}, column 'a'"):
             load_csv(path, target_column="t", positive_value="1")
 
     def test_blank_lines_across_a_chunk_boundary_keep_row_numbers(self, tmp_path):
-        text = csv_text(2 * _CHUNK_ROWS + 3)
+        text = csv_text(2 * LOAD_BLOCK_ROWS + 3)
         want = load_csv(self.write(tmp_path, text, "plain.csv"), "t", "1")
         lines = text.splitlines()
-        lines[_CHUNK_ROWS : _CHUNK_ROWS] = ["", " ", ""]
+        lines[LOAD_BLOCK_ROWS : LOAD_BLOCK_ROWS] = ["", " ", ""]
         ds = load_csv(self.write(tmp_path, "\n".join(lines) + "\n"), "t", "1")
         assert ds.features.tobytes() == want.features.tobytes()
         assert ds.labels.tobytes() == want.labels.tobytes()
@@ -445,7 +465,7 @@ class TestLoadCsv:
         data=st.data(),
         n_cols=st.integers(1, 4),
         n_rows=st.integers(1, 6),
-        copies=st.sampled_from([1, _CHUNK_ROWS // 2 + 1]),
+        copies=st.sampled_from([1, LOAD_BLOCK_ROWS // 2 + 1]),
         lineterminator=st.sampled_from(["\n", "\r\n", "\r"]),
     )
     def test_matches_per_cell_float_oracle(
@@ -460,7 +480,7 @@ class TestLoadCsv:
             row = data.draw(st.lists(cell, min_size=n_cols, max_size=n_cols))
             row.insert(target_idx, data.draw(st.sampled_from(["1", "0", " 1", "yes"])))
             rows.append(row)
-        rows *= copies  # up to 6 * 65 rows: files that span several chunks
+        rows *= copies  # up to 6 * 513 rows: files that span several blocks
         header = [f"c{i}" for i in range(n_cols)]
         header.insert(target_idx, "y")
         buf = io.StringIO(newline="")
@@ -474,7 +494,8 @@ class TestLoadCsv:
         expected = np.array(
             [[float(c.strip()) for i, c in enumerate(r) if i != target_idx] for r in rows]
         )
-        assert ds.features.tobytes() == expected.tobytes()
+        assert ds.features.dtype == storage_dtype(expected.ravel().tolist())
+        assert ds.features.astype(np.float64).tobytes() == expected.tobytes()
         assert ds.features.shape == expected.shape
         assert ds.labels.tolist() == [1.0 if r[target_idx].strip() == "1" else -1.0 for r in rows]
 
@@ -489,6 +510,24 @@ class TestLoadCsv:
             tracemalloc.stop()
         np.testing.assert_array_equal(ds.features, table[:, 1:])
         assert peak <= 2 * (ds.features.nbytes + ds.labels.nbytes)
+
+    def test_a_table_of_small_integers_loads_as_uint8(self, tmp_path):
+        rows = integer_rows(2 * LOAD_BLOCK_ROWS + 3)
+        rows[LOAD_BLOCK_ROWS][1:] = ["1e2", "7.0", " 255 "]  # integer values, other spellings
+        ds = load_csv(write_rows(tmp_path / "data.csv", rows), "t", "1")
+        expected = np.array([[float(c) for c in r[1:]] for r in rows])
+        assert ds.features.dtype == np.uint8
+        assert ds.features.astype(np.float64).tobytes() == expected.tobytes()
+        assert ds.labels.tolist() == [1.0 if r[0] == "1" else -1.0 for r in rows]
+
+    @pytest.mark.parametrize("cell", ["256", "-1", "0.5", "-0"])
+    def test_one_cell_outside_uint8_in_the_last_block_loads_float64(self, tmp_path, cell):
+        rows = integer_rows(2 * LOAD_BLOCK_ROWS + 3)
+        rows[-1][2] = cell
+        ds = load_csv(write_rows(tmp_path / "data.csv", rows), "t", "1")
+        expected = np.array([[float(c) for c in r[1:]] for r in rows])
+        assert ds.features.dtype == np.float64
+        assert ds.features.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "text, shape",
@@ -514,8 +553,14 @@ def csv_text(n_rows, newline="\n", blank_at=None):
 class TestLoadCsvSplit:
     @pytest.mark.parametrize(
         "text",
-        [csv_text(10), csv_text(11), csv_text(11, blank_at=5), csv_text(10, "\r\n")[:-2]],
-        ids=["even", "odd", "blank-line", "crlf"],
+        [
+            csv_text(10),
+            csv_text(11),
+            csv_text(11, blank_at=5),
+            csv_text(10, "\r\n")[:-2],
+            "t,a,b\n" + "".join(f"{i % 2},{i},{i * 37 % 256}\n" for i in range(11)),  # uint8
+        ],
+        ids=["even", "odd", "blank-line", "crlf", "integers"],
     )
     def test_equals_split_half_of_load_csv(self, tmp_path, text):
         path = tmp_path / "data.csv"
@@ -524,6 +569,7 @@ class TestLoadCsvSplit:
         got = load_csv_split(path, "t", "1", seed=3)
         for g, w in ((got.train, want.train), (got.test, want.test)):
             assert g.features.shape == w.features.shape
+            assert g.features.dtype == w.features.dtype
             assert g.features.tobytes() == w.features.tobytes()
             assert g.labels.tobytes() == w.labels.tobytes()
             with pytest.raises(ValueError):
@@ -554,6 +600,18 @@ class TestLoadCsvSplit:
         np.testing.assert_array_equal(ds.features, [[0.0, 0.0], [0.25, -1.0], [0.5, -2.0]])
         assert ds.features.base.nbytes == 3 * 2 * 8
         assert sorted(pair.train.labels.tolist() + pair.test.labels.tolist()) == [-1, -1, 1]
+
+    def test_an_integer_file_is_held_in_a_fraction_of_its_float64_bytes(self, tmp_path):
+        rows = integer_rows(50_000, n_cols=21)
+        path = write_rows(tmp_path / "data.csv", rows)
+        tracemalloc.start()
+        try:
+            pair = load_csv_split(path, "t", "1", seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pair.train.features.dtype == pair.test.features.dtype == np.uint8
+        assert peak < 50_000 * 21 * 8 / 2
 
     def test_peak_memory_is_about_the_halves(self, tmp_path):
         path = tmp_path / "data.csv"
