@@ -16,14 +16,15 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .rng import make_rng
 
-# Data lines :func:`load_csv` parses at a time: its float64 scratch block is
-# small next to the table, even for a float-valued file of a few thousand rows.
+# Data lines :func:`load_csv` parses at a time: its scratch block (and an
+# integer file's block of lines) is small next to the table, even for a
+# float-valued file of a few thousand rows.
 LOAD_BLOCK_ROWS = 1024
 
 
@@ -229,7 +230,9 @@ def _line_breaks(path: Path) -> int:
     breaks, after_cr = 0, False
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 16):
-            breaks += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+            breaks += chunk.count(b"\n")
+            if cr := chunk.count(b"\r"):
+                breaks += cr - chunk.count(b"\r\n")
             breaks -= after_cr and chunk.startswith(b"\n")
             after_cr = chunk.endswith(b"\r")
     return breaks
@@ -238,28 +241,66 @@ def _line_breaks(path: Path) -> int:
 def _small_integers(block: np.ndarray, skip: int) -> bool:
     """Whether every cell of ``block`` outside column ``skip`` is an integer in
     0..255 other than -0.0, so that uint8 holds it exactly."""
-    bad = np.signbit(block) | (block > 255.0) | (np.trunc(block) != block)
+    if block.dtype == np.float64:
+        bad = np.signbit(block) | (block > 255.0) | (np.trunc(block) != block)
+    else:
+        bad = (block < 0) | (block > 255)
     bad[:, skip] = False
     return not bad.any()
 
 
-def _parse_block(
+def _blocks(
     lines: Iterator[str], n_cells: int, target_idx: int, positive_value: str
-) -> np.ndarray:
-    """The next ``LOAD_BLOCK_ROWS`` data lines as a float64 block of every
-    column, the target mapped to +1/-1; empty past the last line. A row of
-    the wrong length or a cell that is not a finite real raises ValueError."""
-    block = np.loadtxt(
-        itertools.islice(lines, LOAD_BLOCK_ROWS),
-        delimiter=",",
-        comments=None,
-        quotechar='"',
-        ndmin=2,
-        converters={target_idx: lambda c: 1.0 if c.strip() == positive_value else -1.0},
-    )
-    if len(block) and (block.shape[1] != n_cells or not np.isfinite(block).all()):
-        raise ValueError("unreadable data rows")
-    return block
+) -> Iterator[np.ndarray]:
+    """The data lines, ``LOAD_BLOCK_ROWS`` at a time, as blocks of every
+    column with the target mapped to +1/-1. A row of the wrong length or a
+    cell that is not a finite real raises ValueError.
+
+    If the first line parses as integers, blocks are taken as lists and
+    parsed as int64, until one holds a ``-`` (so that ``-0`` keeps its sign)
+    or a cell numpy's integer parser rejects (``7.0``, ``1e2``, a value past
+    int64): that block and every later one are parsed as float64. A file
+    whose first line is not all integers streams into float64 blocks.
+    """
+
+    def parse(block_lines: Iterable[str], dtype: type = np.float64) -> np.ndarray:
+        block = np.loadtxt(
+            block_lines,
+            dtype=dtype,
+            delimiter=",",
+            comments=None,
+            quotechar='"',
+            ndmin=2,
+            converters={target_idx: lambda c: 1 if c.strip() == positive_value else -1},
+        )
+        if len(block) and (block.shape[1] != n_cells or not np.isfinite(block).all()):
+            raise ValueError("unreadable data rows")
+        return block
+
+    def integers(block_lines: list[str]) -> np.ndarray | None:
+        if "-" in "".join(block_lines):
+            return None
+        try:
+            return parse(block_lines, np.int64)
+        except ValueError:
+            return None
+
+    first = list(itertools.islice(lines, 1))
+    integer = bool(first) and integers(first) is not None
+    lines = itertools.chain(first, lines)
+    while True:
+        if integer:
+            chunk = list(itertools.islice(lines, LOAD_BLOCK_ROWS))
+            block = integers(chunk)
+            if block is None:
+                block, integer = parse(chunk), False
+            del chunk
+        else:
+            block = parse(itertools.islice(lines, LOAD_BLOCK_ROWS))
+        if not len(block):
+            return
+        yield block
+        del block  # so the next block is parsed without this one held
 
 
 def _read_csv(
@@ -289,7 +330,7 @@ def _read_csv(
             # the block past the last data line is empty
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             try:
-                while len(block := _parse_block(lines, len(header), target_idx, positive_value)):
+                for block in _blocks(lines, len(header), target_idx, positive_value):
                     if table.dtype == np.uint8 and not _small_integers(block, target_idx):
                         # a value uint8 cannot hold: widen the whole table, once
                         wide = np.empty(table.shape)
@@ -331,7 +372,9 @@ def load_csv(
     The features are kept as uint8 when every one is an integer in 0..255
     other than -0.0, and as float64 otherwise; either way their float64
     values are the cells' ``float`` values. The data lines are parsed by
-    ``np.loadtxt``, ``LOAD_BLOCK_ROWS`` at a time, into a feature matrix
+    ``np.loadtxt``, ``LOAD_BLOCK_ROWS`` at a time, as int64 while the file's
+    lines are integers without a ``-`` and as float64 from the first block
+    that is not (see ``_blocks``), into a feature matrix
     preallocated from the file's line count and trimmed to the rows read;
     the matrix starts as uint8 and is widened to float64, once, at the first
     block with another value. So loading holds about the matrix itself,

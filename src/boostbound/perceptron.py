@@ -77,12 +77,16 @@ def fit_perceptron(
     and therefore never change the model.
 
     Before the epochs the fit precomputes the update rows ``step[i] * x_i``
-    (the same elementwise products a visit would form), the steps and
-    labels as Python floats, and a list of row views. A visit scores with
-    ``row.dot(w)``, one ``ddot`` per row as in :func:`predict_many`, so the
-    weights and bias are bit for bit those of the per-visit loop that
-    ``tests/test_perceptron.py`` keeps as its oracle. A uint8 matrix is
-    converted to float64 once, first; a float64 one is used as it is.
+    (the same elementwise products a visit would form), the steps as Python
+    floats, each label's sign as a Python bool, and a list of row views. A
+    visit scores with ``row.dot(w)``, one ``ddot`` per row as in
+    :func:`predict_many`, and tests the score against ``-b`` in place of
+    ``score + b`` against 0: for finite doubles the rounded sum has the sign
+    of the exact one and is 0 only when ``score == -b``, so the two tests
+    agree and the weights and bias are bit for bit those of the per-visit
+    loop that ``tests/test_perceptron.py`` keeps as its oracle. A uint8
+    matrix is converted to float64 once, first; a float64 one is used as it
+    is.
     """
     X, y = np.asarray(train.features, dtype=np.float64), train.labels
     m, n = X.shape
@@ -94,15 +98,16 @@ def fit_perceptron(
     step = m * dist.probabilities * y
     moves = step[:, None] * X
     rows = list(X)
-    steps, labels = step.tolist(), y.tolist()
+    steps, positive = step.tolist(), (y > 0.0).tolist()
     w = np.zeros(n)
-    b = 0.0
+    b = neg_b = 0.0
     for _ in range(config.epochs):
         for i in rng.permutation(m).tolist():
-            pred = 1.0 if rows[i].dot(w) + b >= 0.0 else -1.0
-            if pred != labels[i]:
+            # a mistake: a +1 row scores below -b, or a -1 row at or above it
+            if (rows[i].dot(w) < neg_b) if positive[i] else (rows[i].dot(w) >= neg_b):
                 w += moves[i]
                 b += steps[i]
+                neg_b = -b
     return PerceptronModel(weights=w, bias=b)
 
 

@@ -2,15 +2,17 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import boostbound
 from boostbound.cli import _build_parser, _resolve, dispatch
-from boostbound.data import load_csv
+from boostbound.data import LOAD_BLOCK_ROWS, load_csv
 from boostbound.experiments import load_records_csv
 
 TINY_SWEEP = [
@@ -399,6 +401,31 @@ class TestPlotCommand:
         capsys.readouterr()
         assert run(["plot", "--data", bad, "--out", tmp_path / "p"]) == 2
         assert capsys.readouterr().err == f"error: {bad}: row 4: {message}\n"
+
+
+class TestRawDownload:
+    def test_dot_zero_cells_load_and_run_as_their_integer_spelling(self, tmp_path, capsys):
+        # The Heart Disease Health Indicators download writes every cell as
+        # "1.0"; its first line sends it down the float parser, while the
+        # integer spelling takes the integer one.
+        lines = (Path(__file__).parent / "golden" / "heart.csv").read_text().splitlines(True)
+        body = lines[1:] * (2 * LOAD_BLOCK_ROWS // len(lines[1:]) + 1)  # three blocks
+        integer, raw = tmp_path / "integer.csv", tmp_path / "raw.csv"
+        integer.write_text(lines[0] + "".join(body))
+        raw.write_text(lines[0] + "".join(re.sub(r"\d+", r"\g<0>.0", line) for line in body))
+        a = load_csv(integer, positive_value="1")
+        b = load_csv(raw, positive_value="1.0")
+        assert a.features.dtype == b.features.dtype == np.uint8
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.labels.tobytes() == b.labels.tobytes()
+        assert set(a.labels.tolist()) == {-1.0, 1.0}
+        tiny = ["--m-min", "50", "--m-max", "150", "--m-step", "100", "--t-max", "3",
+                "--epochs", "2", "--seed", "4", "--workers", "1"]
+        for data, positive, out in ((integer, "1", "i"), (raw, "1.0", "r")):
+            assert run(["exp", "real-m", "--data", data, "--positive-value", positive,
+                        *tiny, "--out", tmp_path / out]) == 0
+        for name in ("real-m.csv", "real-m.svg"):
+            assert (tmp_path / "i" / name).read_bytes() == (tmp_path / "r" / name).read_bytes()
 
 
 # Runs tiny m-sweep, real-m and plot commands through cli.dispatch in a fresh

@@ -2,10 +2,12 @@
 
 import csv
 import io
+import itertools
 import math
 import re
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from boostbound import (
     load_csv_split,
     split_half,
 )
-from boostbound.data import LOAD_BLOCK_ROWS, synthetic_split
+from boostbound.data import LOAD_BLOCK_ROWS, _line_breaks, synthetic_split
 from boostbound.perceptron import (
     Distribution,
     PerceptronConfig,
@@ -541,6 +543,107 @@ class TestLoadCsv:
             buffer = buffer.base
         assert ds.features.shape == shape
         assert buffer.nbytes == shape[0] * shape[1] * 8
+
+
+def float_first_load(path, target_column, positive_value):
+    """The loader before its integer path, kept as an oracle: every block of
+    ``LOAD_BLOCK_ROWS`` data lines parsed as float64, the features kept as
+    uint8 when every one is an integer in 0..255 other than -0.0."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = [h.strip() for h in next(csv.reader(fh))]
+        target = header.index(target_column)
+        lines = (line for line in fh if not line.isspace())
+        sign = {target: lambda c: 1.0 if c.strip() == positive_value else -1.0}
+        blocks = []
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            while len(block := np.loadtxt(
+                itertools.islice(lines, LOAD_BLOCK_ROWS), delimiter=",", comments=None,
+                quotechar='"', ndmin=2, converters=sign,
+            )):
+                blocks.append(block)
+    table = np.concatenate(blocks)
+    features = np.delete(table, target, axis=1)
+    return features.astype(storage_dtype(features.ravel().tolist())), table[:, target]
+
+
+# Cells on the integer parser's edges: spellings it takes (a sign, padding,
+# leading zeros, 2**63 - 1), ones that must keep their sign (-0), ones it
+# leaves to the float parser (2**63, 7.0, 1e2), and 256, which widens the table.
+SPELLINGS = (
+    "+7", " 7 ", "007", "\x1c7\x1f", "-0", "-00", "255", "256",
+    "9223372036854775807", "9223372036854775808", "7.0", "1e2",
+)
+
+
+class TestIntegerPath:
+    """An integer file's blocks are parsed as int64 until one holds a ``-``
+    or a cell the integer parser rejects; the result equals the float-first
+    reader's, dtype included."""
+
+    def assert_loads_as_the_float_first_reader(self, path, positive_value):
+        ds = load_csv(path, target_column="t", positive_value=positive_value)
+        features, labels = float_first_load(path, "t", positive_value)
+        assert ds.features.dtype == features.dtype
+        assert ds.features.shape == features.shape
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()
+        return ds
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        n_cols=st.integers(1, 3),
+        extra=st.integers(1, 5),
+        positive_value=st.sampled_from(["1", "-1"]),
+    )
+    def test_matches_the_float_first_reader(
+        self, tmp_path_factory, data, seed, n_cols, extra, positive_value
+    ):
+        rows = integer_rows(2 * LOAD_BLOCK_ROWS + extra, n_cols, seed)
+        for first in (0, LOAD_BLOCK_ROWS, 2 * LOAD_BLOCK_ROWS):  # first, middle, last block
+            spelling = data.draw(st.none() | st.sampled_from(SPELLINGS))
+            if spelling is None:
+                continue
+            offset = data.draw(st.sampled_from([0, 1, LOAD_BLOCK_ROWS // 2, LOAD_BLOCK_ROWS - 1]))
+            row = min(first + offset, len(rows) - 1)
+            rows[row][data.draw(st.integers(1, n_cols))] = spelling
+        if data.draw(st.booleans(), label="minus in the target"):
+            rows[data.draw(st.integers(0, len(rows) - 1))][0] = "-1"
+        path = write_rows(tmp_path_factory.mktemp("csv") / "data.csv", rows)
+        self.assert_loads_as_the_float_first_reader(path, positive_value)
+
+    @pytest.mark.parametrize("row", [0, LOAD_BLOCK_ROWS + 5], ids=["first-line", "middle-block"])
+    @pytest.mark.parametrize("positive_value", ["1", "-1"])
+    def test_a_minus_only_in_the_target_column(self, tmp_path, row, positive_value):
+        rows = integer_rows(2 * LOAD_BLOCK_ROWS + 3)
+        rows[row][0] = "-1"
+        ds = self.assert_loads_as_the_float_first_reader(
+            write_rows(tmp_path / "data.csv", rows), positive_value
+        )
+        assert ds.features.dtype == np.uint8
+        assert (ds.labels[row] == 1.0) == (positive_value == "-1")
+
+
+# _line_breaks reads the file this many bytes at a time.
+READ_EDGE = 1 << 16
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf-split", "lone-cr"])
+def test_line_breaks_count_a_break_on_the_read_edge_once(tmp_path, newline):
+    head, row, after = "t,a" + newline, "0,1" + newline, 5
+    k = (READ_EDGE - 100) // len(row)
+    pad = READ_EDGE - 1 - len(head) - k * len(row) - len("0,1")
+    text = head + row * k + "0," + " " * pad + "1" + newline + ("1,2" + newline) * after
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    data = path.read_bytes()
+    assert data[READ_EDGE - 1 : READ_EDGE + 1] == ("\r\n" if newline == "\r\n" else "\r1").encode()
+    assert _line_breaks(path) == text.count(newline) == k + after + 2
+    ds = load_csv(path, target_column="t", positive_value="1")
+    assert ds.n_rows == k + after + 1
+    assert ds.features[-after:].ravel().tolist() == [2] * after
 
 
 def csv_text(n_rows, newline="\n", blank_at=None):

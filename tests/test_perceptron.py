@@ -219,6 +219,10 @@ class TestFitPerceptron:
     )
     # a -1 row scores exactly 0 on a nonzero model
     @example(seed=5, n=2, m=4, epochs=2, integer=True)
+    # a visit's row.dot(w) equals -b with b != 0: for a -1 row (2.0 against
+    # b = -2.0), and for a +1 row (1.0 against b = -1.0)
+    @example(seed=0, n=2, m=2, epochs=2, integer=True)
+    @example(seed=0, n=2, m=3, epochs=2, integer=True)
     def test_matches_replay_oracle_bit_for_bit(self, seed, n, m, epochs, integer):
         train, dist = oracle_problem(seed, m, n, integer)
         model = fit_perceptron(train, dist, PerceptronConfig(epochs=epochs, seed=seed))
