@@ -25,19 +25,18 @@ from .bound import DEFAULT_DELTA, epsilon_boost, inapplicable_reason
 from .data import Dataset, SplitPair, SyntheticConfig, generate_synthetic, load_csv_split
 from .experiments import (
     SweepResult,
+    SweepSpec,
     confidence_table,
     default_figure,
     emit_csv,
     emit_svg,
     load_records_csv,
     real_split_seed,
-    run_dimension_sweep,
-    run_iteration_sweep,
-    run_real_data,
-    run_sample_size_sweep,
+    run_sweeps,
     run_train_cell,
     sweep_grid,
 )
+from .experiments.records import SOURCE_REAL, SOURCE_SYNTHETIC
 from .experiments.sweeps import DEFAULT_EPOCHS, DEFAULT_ROUNDS
 from .rng import derive_seed
 
@@ -315,65 +314,57 @@ def _emit_sweep(result: SweepResult, out_dir: Path, stem: str) -> None:
         print(f"inapplicable cells = {result.inapplicable_count}")
 
 
-def _synthetic_sweep(cfg: dict, axis: str, fixed: int, common: dict) -> SweepResult:
-    """An m-sweep (axis "m") at d = fixed, or a d-sweep at m = fixed."""
-    run = run_sample_size_sweep if axis == "m" else run_dimension_sweep
-    return run(
-        fixed, cfg[f"{axis}_min"], cfg[f"{axis}_max"], cfg[f"{axis}_step"],
-        cfg["delta"], cfg["seed"], **common,
-    )
+# confidence: four m-sweeps at fixed d, four d-sweeps at fixed m
+_CONFIDENCE = [("m", d) for d in (25, 50, 75, 100)] + [("d", m) for m in (500, 1000, 1500, 2000)]
+
+
+def _exp_sweeps(cfg: dict, pair: SplitPair | None) -> list[SweepSpec]:
+    """The sweeps an ``exp`` mode runs, every grid built and checked. Each
+    but the t-sweep runs over m at a fixed d, or over d at a fixed m."""
+    mode, d, m = cfg["mode"], cfg["d"], cfg["m"]
+    shape = (cfg["repeats"], cfg["t_max"], cfg["epochs"])
+    if mode == "t-sweep":
+        return [SweepSpec(f"t-sweep-d{d}-m{m}", SOURCE_SYNTHETIC, [(m, d)], *shape, math.nan)]
+    if pair is None:  # (experiment id, source, swept axis, fixed value, unset maximum)
+        plan = {"m-sweep": [("m", d)], "d-sweep": [("d", m)], "confidence": _CONFIDENCE}[mode]
+        axes = [(f"{a}-sweep-{'d' if a == 'm' else 'm'}{v}", SOURCE_SYNTHETIC, a, v, None)
+                for a, v in plan]
+    else:  # real-m or real-d: a maximum left unset is the whole train half or every feature
+        rows, width = pair.train.n_rows, pair.train.n_features + 1
+        a = mode[-1]
+        axes = [(f"{mode}-sweep", SOURCE_REAL, a) + ((width, rows) if a == "m" else (rows, width))]
+    sweeps = []
+    for experiment_id, source, axis, fixed, top in axes:
+        hi = cfg[f"{axis}_max"]
+        grid = sweep_grid(axis, cfg[f"{axis}_min"], top if hi is None else hi, cfg[f"{axis}_step"])
+        points = [(v, fixed) if axis == "m" else (fixed, v) for v in grid]
+        sweeps.append(SweepSpec(experiment_id, source, points, *shape, cfg["delta"]))
+    return sweeps
 
 
 def _cmd_exp(cfg: dict) -> None:
+    """Build and check every sweep of the mode, run them all through one
+    pool, then write each sweep's CSV and SVG."""
     mode = cfg["mode"]
     out_dir = _prepare_out(cfg)
-    common = dict(epochs=cfg["epochs"], workers=cfg["workers"])
-    if mode == "t-sweep":
-        result = run_iteration_sweep(
-            cfg["d"], cfg["m"], cfg["t_max"], cfg["repeats"], cfg["seed"], **common
-        )
-        _emit_sweep(result, out_dir, mode)
-        return
-
-    common.update(n_repeats=cfg["repeats"], n_rounds=cfg["t_max"])
-    if mode in ("real-m", "real-d"):
+    pair = None
+    if mode.startswith("real-"):
         pair = _load_real_halves(cfg, real_split_seed(cfg["seed"]))
-        axis = mode[-1]
-        top = cfg[f"{axis}_max"]
-        if top is None:  # the whole train half, or every feature
-            top = pair.train.n_rows if axis == "m" else pair.train.n_features + 1
-        grid = sweep_grid(axis, cfg[f"{axis}_min"], top, cfg[f"{axis}_step"])
-        result = run_real_data(
-            pair, f"{axis}-sweep", grid, cfg["delta"], cfg["seed"], **common
-        )
-        _emit_sweep(result, out_dir, mode)
+    sweeps = _exp_sweeps(cfg, pair)
+    results = run_sweeps(sweeps, cfg["seed"], workers=cfg["workers"], pair=pair)
+    for spec, result in zip(sweeps, results):
+        _emit_sweep(result, out_dir, spec.experiment_id if mode == "confidence" else mode)
+    if mode != "confidence":
         return
-
-    if mode in ("m-sweep", "d-sweep"):
-        fixed = cfg["d"] if mode == "m-sweep" else cfg["m"]
-        _emit_sweep(_synthetic_sweep(cfg, mode[0], fixed, common), out_dir, mode)
-        return
-
-    if mode == "confidence":  # four m-sweeps at fixed d, four d-sweeps at fixed m
-        results = []
-        for axis, fixed in [("m", d) for d in (25, 50, 75, 100)] + [
-            ("d", m) for m in (500, 1000, 1500, 2000)
-        ]:
-            result = _synthetic_sweep(cfg, axis, fixed, common)
-            _emit_sweep(result, out_dir, result.records[0].experiment_id)
-            results.append(result)
-        rows = confidence_table(results)
-        table_path = out_dir / "confidence.csv"
-        table_path.write_text(
-            "\n".join(["label,confidence"] + [f"{l},{c}" for l, c in rows]) + "\n",
-            encoding="utf-8",
-        )
-        for label, conf in rows:
-            print(f"{label}: {conf}")
-        print(f"wrote {table_path}")
-        return
-
-    raise UsageError(f"unknown exp mode {mode!r}")
+    rows = confidence_table(results)
+    table_path = out_dir / "confidence.csv"
+    table_path.write_text(
+        "\n".join(["label,confidence"] + [f"{l},{c}" for l, c in rows]) + "\n",
+        encoding="utf-8",
+    )
+    for label, conf in rows:
+        print(f"{label}: {conf}")
+    print(f"wrote {table_path}")
 
 
 def _cmd_plot(cfg: dict) -> None:

@@ -1,5 +1,11 @@
 """Experiment orchestration: every verdict comes from one seeded cell.
 
+A sweep is a ``SweepSpec``: its experiment id, data source, (m, d) grid
+points, repeats per point, round count T, epoch budget and delta. Each
+``exp`` command is a list of them (``exp confidence`` is eight), and
+``run_sweeps`` runs the whole list through one pool and one largest-first
+queue, then hands back one ``SweepResult`` per spec, in order.
+
 A cell is a ``CellSpec``: the experiment it belongs to, the ``RunParams``
 its record carries (round count T, training size m, VC-dimension d, delta,
 seed and data source) and its epoch budget. Every cell runs through one
@@ -16,28 +22,26 @@ function, ``_run_cell``:
             and test errors over rounds 1..T and the training margin rho,
             the cell's ``CellResult``.
 
-The iteration sweep averages the staged curves of its repeats. Every other
-sweep hands each cell's result to ``_verdict``, which judges the final gap
-against the bound (d > e*m gives an inapplicable record).
+A sweep without a delta judges no bound: its records are the staged errors
+of each point averaged over the repeats, one per round count 1..T (the
+iteration sweep). Every other sweep hands each cell's result to
+``_verdict``, which judges the final gap against the bound (d > e*m gives
+an inapplicable record).
 
-Cell (gi, r), grid point gi and repeat r, is seeded from (master seed,
-gi, r), so sweeps can run on any number of worker processes and still
-merge to the same records in the same order. The swept experiments:
+Cell (gi, r) of a sweep, grid point gi and repeat r, is seeded from
+(master seed, gi, r), so sweeps can run on any number of worker processes
+and still merge to the same records in the same order.
 
-  * iteration sweep   - mean train/test errors per round count (no bound)
-  * sample-size sweep - gap vs bound across training sizes
-  * dimension sweep   - gap vs bound across base-learner VC-dimensions
-  * real-data sweeps  - the same two on an ingested CSV dataset
-
-Boosting rounds do not appear in the bound, so the m/d/real sweeps train a
+Boosting rounds do not appear in the bound, so the bound sweeps train a
 fixed, configurable number of rounds per cell (default 10).
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -151,9 +155,9 @@ def _map_cells(
     order, never arrival order.
 
     A pool gets at most one worker per cell, and the cells largest first
-    (cost m * T * epochs * d, ties in spec order), so the longest cell does
-    not start last and leave the other workers idle (LPT scheduling, Graham
-    1969). A sweep varies only m or only d, so the cost needs no constant.
+    (cost m * T * epochs * d: the fit's row-visits times the row length,
+    ties in spec order), so the longest cell does not start last and leave
+    the other workers idle (LPT scheduling, Graham 1969).
     """
     if workers <= 1 or len(specs) <= 1:
         _set_real_context(pair)
@@ -175,51 +179,134 @@ def _map_cells(
     return results
 
 
-def _cell_specs(
-    experiment_id: str,
-    source: str,
-    points: Sequence[tuple[int, int]],
-    delta: float,
-    master_seed: int,
-    n_repeats: int,
-    n_rounds: int,
-    epochs: int,
-) -> list[CellSpec]:
-    """One spec per (grid point, repeat); grid points are (m, d)."""
-    if n_repeats < 1:
-        raise ValueError("n_repeats must be at least 1")
-    return [
-        CellSpec(
-            experiment_id,
-            RunParams(
-                T=n_rounds, m=m, d=d, delta=delta,
-                seed=derive_seed(master_seed, _NS_CELL, gi, r), source=source,
-            ),
-            epochs,
-        )
-        for gi, (m, d) in enumerate(points)
-        for r in range(n_repeats)
-    ]
+@dataclass(frozen=True)
+class SweepSpec:
+    """One sweep: ``repeats`` cells at each (m, d) point, each training T
+    rounds of ``epochs``-epoch perceptrons.
+
+    ``delta`` is NaN for a sweep that judges no bound (the iteration
+    sweep). A real-data sweep is ``real-m-sweep`` (every feature, seeded
+    m-row subsamples of the train half) or ``real-d-sweep`` (the whole
+    train half, the d-1 most important features), so its points hold
+    d - 1 = the feature count or m = the train rows. ``run_sweeps`` checks
+    real points against the halves.
+    """
+
+    experiment_id: str
+    source: str
+    points: tuple[tuple[int, int], ...]
+    repeats: int
+    T: int
+    epochs: int
+    delta: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "points", tuple(self.points))
+        if not self.points:
+            raise ValueError(f"{self.experiment_id} has an empty grid")
+        if self.repeats < 1:
+            raise ValueError(f"repeats must be at least 1, got {self.repeats}")
+        for m, d in self.points:
+            if d < 2:
+                raise ValueError(f"d must be at least 2 (one input feature), got {d}")
+            if m < 2:
+                raise ValueError(f"m must be at least 2, got {m}")
+        if self.source == SOURCE_REAL and self.experiment_id not in (_REAL_M, _REAL_D):
+            raise ValueError(f"unknown real-data mode {self.experiment_id!r}")
+
+    def cells(self, master_seed: int) -> list[CellSpec]:
+        """One cell per (grid point gi, repeat r), seeded (master, gi, r)."""
+        return [
+            CellSpec(
+                self.experiment_id,
+                RunParams(
+                    T=self.T, m=m, d=d, delta=self.delta,
+                    seed=derive_seed(master_seed, _NS_CELL, gi, r), source=self.source,
+                ),
+                self.epochs,
+            )
+            for gi, (m, d) in enumerate(self.points)
+            for r in range(self.repeats)
+        ]
 
 
-def _sweep(
-    experiment_id: str,
-    source: str,
-    points: Sequence[tuple[int, int]],
-    delta: float,
+def _check_real(spec: SweepSpec, pair: SplitPair) -> None:
+    """A real sweep's points fit the train half and name what its cells use:
+    every feature (real-m) or every train row (real-d)."""
+    rows, n = pair.train.n_rows, pair.train.n_features
+    for m, d in spec.points:
+        if m > rows:
+            raise ValueError(f"m={m} exceeds the train half ({rows} rows)")
+        if d - 1 > n:
+            raise ValueError(f"d={d} needs {d - 1} features, dataset has {n}")
+        if (m < rows) if spec.experiment_id == _REAL_D else (d - 1 < n):
+            raise ValueError(
+                f"{spec.experiment_id} point m={m}, d={d} does not use the whole "
+                f"train half ({rows} rows x {n} features) along its fixed axis"
+            )
+
+
+def _staged_means(spec: SweepSpec, cells: Sequence[CellResult], master_seed: int) -> SweepResult:
+    """Per grid point, the staged errors averaged over its repeats: one
+    record per round count 1..T, seeded with the master seed, no verdict."""
+    records = []
+    for gi, (m, d) in enumerate(spec.points):
+        group = cells[gi * spec.repeats : (gi + 1) * spec.repeats]
+        mean_train = np.stack([c.train_errors for c in group]).mean(axis=0)
+        mean_test = np.stack([c.test_errors for c in group]).mean(axis=0)
+        records += [
+            RunRecord(
+                experiment_id=spec.experiment_id,
+                params=RunParams(
+                    T=t + 1, m=m, d=d, delta=math.nan, seed=master_seed, source=spec.source
+                ),
+                gap_report=GapReport(float(mean_train[t]), float(mean_test[t]), None, math.nan),
+            )
+            for t in range(spec.T)
+        ]
+    return SweepResult(records)
+
+
+def run_sweeps(
+    sweeps: Sequence[SweepSpec],
     master_seed: int,
-    n_repeats: int,
-    n_rounds: int,
-    epochs: int,
-    workers: int,
+    workers: int = 1,
     pair: SplitPair | None = None,
-) -> SweepResult:
-    """Gap vs bound at every (m, d) grid point, n_repeats cells each."""
-    specs = _cell_specs(
-        experiment_id, source, points, delta, master_seed, n_repeats, n_rounds, epochs
-    )
-    cells = _map_cells(specs, workers, pair)
-    return SweepResult([_verdict(s, c) for s, c in zip(specs, cells)])
+) -> list[SweepResult]:
+    """Run every cell of every sweep in one ``_map_cells`` call (one pool,
+    one largest-first queue) and return one result per sweep, in order.
+
+    Real-data cells draw from ``pair``, split with
+    ``real_split_seed(master_seed)`` by the CLI. Every point is checked
+    before any work. A real d-sweep first ranks the features with one
+    ensemble on the train half, then its cells run on column views of both
+    halves in importance order (``data.columns_in_order``), which are put
+    back in file order however the cells end; real d-sweeps that run
+    together share that ranking, so they must share T and epochs.
+    """
+    for spec in sweeps:
+        if spec.source == SOURCE_REAL:
+            _check_real(spec, pair)
+    ranked = {(s.T, s.epochs) for s in sweeps if s.experiment_id == _REAL_D}
+    if len(ranked) > 1:
+        raise ValueError("real d-sweeps that run together must share T and epochs")
+    groups = [spec.cells(master_seed) for spec in sweeps]
+    held = nullcontext(pair)
+    if ranked:
+        ((n_rounds, epochs),) = ranked
+        config = PerceptronConfig(epochs, derive_seed(derive_seed(master_seed, _NS_SWEEP, 1), 2))
+        ranking = rank_features(train_adaboost(pair.train, n_rounds, config).ensemble)
+        held = columns_in_order(pair, ranking)
+    with held as halves:
+        done = iter(_map_cells([c for g in groups for c in g], workers, halves))
+    results = []
+    for spec, group in zip(sweeps, groups):
+        cells = [next(done) for _ in group]
+        if math.isnan(spec.delta):
+            results.append(_staged_means(spec, cells, master_seed))
+        else:
+            results.append(SweepResult([_verdict(s, c) for s, c in zip(group, cells)]))
+    return results
 
 
 def sweep_grid(name: str, lo: int, hi: int, step: int) -> range:
@@ -231,98 +318,6 @@ def sweep_grid(name: str, lo: int, hi: int, step: int) -> range:
     if hi < lo:
         raise ValueError(f"{name}_max {hi} below {name}_min {lo}")
     return range(lo, hi + 1, step)
-
-
-def run_sample_size_sweep(
-    d: int,
-    m_min: int,
-    m_max: int,
-    m_step: int,
-    delta: float,
-    master_seed: int,
-    *,
-    n_repeats: int = 1,
-    n_rounds: int = DEFAULT_ROUNDS,
-    epochs: int = DEFAULT_EPOCHS,
-    workers: int = 1,
-) -> SweepResult:
-    """Gap vs bound across training sizes, synthetic data of dimension d-1."""
-    if d < 2:
-        raise ValueError("d must be at least 2 (one input feature)")
-    points = [(m, d) for m in sweep_grid("m", m_min, m_max, m_step)]
-    return _sweep(
-        f"m-sweep-d{d}", SOURCE_SYNTHETIC, points, delta, master_seed,
-        n_repeats, n_rounds, epochs, workers,
-    )
-
-
-def run_dimension_sweep(
-    m: int,
-    d_min: int,
-    d_max: int,
-    d_step: int,
-    delta: float,
-    master_seed: int,
-    *,
-    n_repeats: int = 1,
-    n_rounds: int = DEFAULT_ROUNDS,
-    epochs: int = DEFAULT_EPOCHS,
-    workers: int = 1,
-) -> SweepResult:
-    """Gap vs bound across base-learner VC-dimensions at fixed sample size.
-
-    Cells with d > e*m are retained as inapplicable records rather than
-    failing the sweep.
-    """
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    points = [(m, d) for d in sweep_grid("d", d_min, d_max, d_step)]
-    return _sweep(
-        f"d-sweep-m{m}", SOURCE_SYNTHETIC, points, delta, master_seed,
-        n_repeats, n_rounds, epochs, workers,
-    )
-
-
-def run_iteration_sweep(
-    d: int,
-    m: int,
-    t_max: int,
-    n_repeats: int,
-    master_seed: int,
-    *,
-    epochs: int = DEFAULT_EPOCHS,
-    workers: int = 1,
-) -> SweepResult:
-    """Mean train/test errors for every round count 1..t_max.
-
-    Each repeat draws fresh data, trains once for t_max rounds, and reads
-    the error of every prefix ensemble off the trace (exactly equal to
-    retraining with a smaller round count, since round seeds depend only
-    on the round index). Records carry no bound verdict.
-    """
-    if t_max < 1:
-        raise ValueError("t_max must be at least 1")
-    if d < 2 or m < 2:
-        raise ValueError("d and m must be at least 2")
-    eid = f"t-sweep-d{d}-m{m}"
-    specs = _cell_specs(
-        eid, SOURCE_SYNTHETIC, [(m, d)], math.nan, master_seed, n_repeats, t_max, epochs
-    )
-    cells = _map_cells(specs, workers)
-    mean_train = np.stack([c.train_errors for c in cells]).mean(axis=0)
-    mean_test = np.stack([c.test_errors for c in cells]).mean(axis=0)
-    records = [
-        RunRecord(
-            experiment_id=eid,
-            params=RunParams(
-                T=t + 1, m=m, d=d, delta=math.nan, seed=master_seed,
-                source=SOURCE_SYNTHETIC,
-            ),
-            gap_report=GapReport(float(mean_train[t]), float(mean_test[t]), None, math.nan),
-        )
-        for t in range(t_max)
-    ]
-    return SweepResult(records)
 
 
 def run_train_cell(
@@ -356,66 +351,6 @@ def run_train_cell(
 def real_split_seed(master_seed: int) -> int:
     """Seed of the train/test split that a real-data sweep runs on."""
     return derive_seed(master_seed, _NS_SWEEP, 0)
-
-
-def run_real_data(
-    pair: SplitPair,
-    mode: Literal["m-sweep", "d-sweep"],
-    grid: Sequence[int],
-    delta: float,
-    master_seed: int,
-    *,
-    n_repeats: int = 1,
-    n_rounds: int = DEFAULT_ROUNDS,
-    epochs: int = DEFAULT_EPOCHS,
-    workers: int = 1,
-) -> SweepResult:
-    """Bound verification on the train/test halves of an ingested dataset.
-
-    m-sweep: full feature set; each cell trains on a fresh seeded
-    subsample (without replacement) of the train half and tests on the
-    test half. d-sweep: the train half is used whole; features are ordered
-    by ensemble importance and each cell keeps a view of the top d-1 of
-    them. The CLI splits with ``real_split_seed(master_seed)``.
-    """
-    grid = [int(g) for g in grid]
-    if not grid:
-        raise ValueError("empty grid")
-    if n_repeats < 1:  # before the d-sweep's ranking fit
-        raise ValueError("n_repeats must be at least 1")
-    train_half = pair.train
-    n_features = train_half.n_features
-
-    if mode == "m-sweep":
-        if min(grid) < 2:
-            raise ValueError("every m must be at least 2")
-        if max(grid) > train_half.n_rows:
-            raise ValueError(
-                f"m={max(grid)} exceeds the train half ({train_half.n_rows} rows)"
-            )
-        points = [(m, n_features + 1) for m in grid]
-        return _sweep(
-            _REAL_M, SOURCE_REAL, points, delta, master_seed,
-            n_repeats, n_rounds, epochs, workers, pair,
-        )
-
-    if mode == "d-sweep":
-        if min(grid) < 2:
-            raise ValueError("every d must be at least 2")
-        if max(grid) > n_features + 1:
-            raise ValueError(
-                f"d={max(grid)} needs {max(grid) - 1} features, dataset has {n_features}"
-            )
-        config = PerceptronConfig(epochs, derive_seed(derive_seed(master_seed, _NS_SWEEP, 1), 2))
-        ranking = rank_features(train_adaboost(train_half, n_rounds, config).ensemble)
-        points = [(train_half.n_rows, d) for d in grid]
-        with columns_in_order(pair, ranking) as ordered:
-            return _sweep(
-                _REAL_D, SOURCE_REAL, points, delta, master_seed,
-                n_repeats, n_rounds, epochs, workers, ordered,
-            )
-
-    raise ValueError(f"unknown real-data mode {mode!r}")
 
 
 def feature_importances(ens: Ensemble) -> np.ndarray:

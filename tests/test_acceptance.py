@@ -29,13 +29,8 @@ from boostbound import (
 )
 from boostbound.boosting import BoostRound, Ensemble, evaluate, round_predictions
 from boostbound.cli import dispatch
-from boostbound.experiments import (
-    real_split_seed,
-    run_dimension_sweep,
-    run_iteration_sweep,
-    run_real_data,
-    run_sample_size_sweep,
-)
+from boostbound.experiments import SweepSpec, real_split_seed, run_sweeps
+from boostbound.experiments.sweeps import DEFAULT_EPOCHS, DEFAULT_ROUNDS
 from boostbound.perceptron import error_mass
 from boostbound.rng import make_rng
 
@@ -46,6 +41,13 @@ HEART_CSV_ENV = "BOOSTBOUND_HEART_CSV"
 HEART_CSV_DEFAULT = Path(__file__).resolve().parents[1] / "data" / "heart_disease_health_indicators.csv"
 
 
+def swept(experiment_id, source, points, repeats, delta=0.05):
+    """A sweep at the default round count and epoch budget."""
+    return SweepSpec(
+        experiment_id, source, points, repeats, DEFAULT_ROUNDS, DEFAULT_EPOCHS, delta
+    )
+
+
 def report(cid, name, ok, detail):
     print(f"\nACCEPTANCE {cid} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{cid} {name}: {detail}"
@@ -53,11 +55,13 @@ def report(cid, name, ok, detail):
 
 @pytest.fixture(scope="session")
 def dimension_sweeps():
-    r2000 = run_dimension_sweep(
-        2000, 5, 200, 15, 0.05, MASTER_SEED, n_repeats=3, workers=WORKERS
-    )
-    r500 = run_dimension_sweep(
-        500, 5, 200, 15, 0.05, MASTER_SEED, n_repeats=3, workers=WORKERS
+    # both d-sweeps (d 5..200 step 15, 3 seeds per cell) share one pool
+    r500, r2000 = run_sweeps(
+        [
+            swept(f"d-sweep-m{m}", "synthetic", [(m, d) for d in range(5, 201, 15)], 3)
+            for m in (500, 2000)
+        ],
+        MASTER_SEED, WORKERS,
     )
     return r500, r2000
 
@@ -104,9 +108,8 @@ def random_boosting_runs():
 
 def test_c01_table1_m_sweep_d25():
     # Synthetic m-sweep at d=25, m-grid 10..2000 step 50, 3 seeds per cell.
-    result = run_sample_size_sweep(
-        25, 10, 2000, 50, 0.05, MASTER_SEED, n_repeats=3, workers=WORKERS
-    )
+    points = [(m, 25) for m in range(10, 2001, 50)]
+    (result,) = run_sweeps([swept("m-sweep-d25", "synthetic", points, 3)], MASTER_SEED, WORKERS)
     conf = result.confidence
     report(
         "C01", "table1-m-sweep-d25",
@@ -138,7 +141,10 @@ def test_c03_low_m_degradation_direction(dimension_sweeps):
 def test_c04_gap_independent_of_round_count():
     # d=50, m=1000, rounds 1..100, 10 repeats: the mean gap may not trend
     # with the round count (|slope| <= 5e-4) nor leave a +/-0.05 band.
-    result = run_iteration_sweep(50, 1000, 100, 10, MASTER_SEED, workers=WORKERS)
+    spec = SweepSpec(
+        "t-sweep-d50-m1000", "synthetic", [(1000, 50)], 10, 100, DEFAULT_EPOCHS, math.nan
+    )
+    (result,) = run_sweeps([spec], MASTER_SEED, WORKERS)
     dr = np.array([r.gap_report.delta_r for r in result.records])
     t = np.arange(1, len(dr) + 1, dtype=float)
     slope = float(np.polyfit(t, dr, 1)[0])
@@ -406,10 +412,9 @@ def test_c11_real_data_m_sweep():
         dataset = Dataset(features=dataset.features[rows], labels=dataset.labels[rows])
     grid = list(range(50, 10_001, 250))
     grid = [m for m in grid if m <= (dataset.n_rows + 1) // 2]
-    result = run_real_data(
-        split_half(dataset, real_split_seed(MASTER_SEED)), "m-sweep", grid, 0.05,
-        MASTER_SEED, workers=WORKERS,
-    )
+    points = [(m, dataset.n_features + 1) for m in grid]
+    pair = split_half(dataset, real_split_seed(MASTER_SEED))
+    (result,) = run_sweeps([swept("real-m-sweep", "real", points, 1)], MASTER_SEED, WORKERS, pair)
     conf = result.confidence
     report(
         "C11", "real-data-m-sweep",

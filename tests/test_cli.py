@@ -308,6 +308,18 @@ class TestExpCommand:
         assert code == 2  # d=75/100 sweeps have no applicable cell at m <= 20
         assert "confidence" in capsys.readouterr().err
 
+    def test_every_grid_is_checked_before_any_sweep_runs(self, tmp_path, capsys):
+        # the four m-sweeps' grid is fine; the d-sweeps' is not
+        out = tmp_path / "conf"
+        code = run([
+            "exp", "confidence", "--m-min", "10", "--m-max", "40", "--m-step", "30",
+            "--d-min", "1", "--d-max", "90", "--d-step", "44", "--t-max", "2", "--epochs", "1",
+            "--workers", "1", "--out", out,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: d_min must be at least 2, got 1\n"
+        assert [p.name for p in out.iterdir()] == ["manifest"]
+
     @pytest.mark.parametrize(
         "mode, expected",
         [

@@ -31,6 +31,7 @@ from boostbound.experiments import (
     RunParams,
     RunRecord,
     SweepResult,
+    SweepSpec,
     confidence_table,
     default_figure,
     emit_csv,
@@ -40,18 +41,17 @@ from boostbound.experiments import (
     polyfit,
     rank_features,
     real_split_seed,
-    run_dimension_sweep,
-    run_iteration_sweep,
-    run_real_data,
-    run_sample_size_sweep,
+    run_sweeps,
     run_train_cell,
+    sweep_grid,
 )
 from boostbound.bound import GapReport, check_bound
+from boostbound.cli import dispatch
 from boostbound.data import SplitPair, load_csv_split
 from boostbound.experiments import sweeps
 from boostbound.rng import derive_seed, make_rng
 
-FAST = dict(n_rounds=3, epochs=3)
+FAST = dict(T=3, epochs=3)
 
 GOLDEN = Path(__file__).parent / "golden"
 # Every golden sweep CSV: t-sweep rows, inapplicable d-sweep rows, train
@@ -61,10 +61,31 @@ GOLDEN_SWEEP_CSVS = sorted(
 )
 
 
-def tiny_m_sweep(**overrides):
-    kwargs = dict(n_repeats=1, workers=1, **FAST)
-    kwargs.update(overrides)
-    return run_sample_size_sweep(5, 10, 30, 10, 0.05, 42, **kwargs)
+def run_one(spec, master_seed=42, workers=1, pair=None):
+    """The one result of running a single sweep."""
+    (result,) = run_sweeps([spec], master_seed, workers, pair)
+    return result
+
+
+def m_sweep(d, ms, repeats=1, T=10, epochs=10, delta=0.05):
+    """The synthetic sweep over training sizes ``ms`` at dimension d."""
+    return SweepSpec(f"m-sweep-d{d}", "synthetic", [(m, d) for m in ms], repeats, T, epochs, delta)
+
+
+def d_sweep(m, ds, repeats=1, T=10, epochs=10, delta=0.05):
+    """The synthetic sweep over dimensions ``ds`` at training size m."""
+    return SweepSpec(f"d-sweep-m{m}", "synthetic", [(m, d) for d in ds], repeats, T, epochs, delta)
+
+
+def t_sweep(d, m, t_max, repeats, master_seed, workers=1):
+    """Mean staged errors over ``repeats`` cells of t_max rounds of
+    two-epoch perceptrons (no bound)."""
+    spec = SweepSpec(f"t-sweep-d{d}-m{m}", "synthetic", [(m, d)], repeats, t_max, 2, math.nan)
+    return run_one(spec, master_seed, workers)
+
+
+def tiny_m_sweep(n_repeats=1, workers=1):
+    return run_one(m_sweep(5, [10, 20, 30], n_repeats, **FAST), workers=workers)
 
 
 def in_process_pool(monkeypatch):
@@ -171,22 +192,36 @@ class TestSampleSizeSweep:
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
-            run_sample_size_sweep(5, 1, 30, 10, 0.05, 42)
+            sweep_grid("m", 1, 30, 10)
         with pytest.raises(ValueError):
-            run_sample_size_sweep(5, 30, 10, 10, 0.05, 42)
+            sweep_grid("m", 30, 10, 10)
         with pytest.raises(ValueError):
-            run_sample_size_sweep(5, 10, 30, 0, 0.05, 42)
+            sweep_grid("m", 10, 30, 0)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: m_sweep(5, [10, 1]), "m must be at least 2, got 1"),
+            (lambda: m_sweep(1, [10]), "d must be at least 2 (one input feature), got 1"),
+            (lambda: d_sweep(20, [3, 1]), "d must be at least 2 (one input feature), got 1"),
+            (lambda: m_sweep(5, [10], repeats=0), "repeats must be at least 1, got 0"),
+            (lambda: m_sweep(5, []), "m-sweep-d5 has an empty grid"),
+        ],
+    )
+    def test_spec_refuses_bad_points(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
 
 class TestDimensionSweep:
     def test_record_count(self):
-        result = run_dimension_sweep(50, 5, 10, 5, 0.05, 42, workers=1, **FAST)
+        result = run_one(d_sweep(50, [5, 10], **FAST))
         assert len(result.records) == 2
         assert [r.params.d for r in result.records] == [5, 10]
 
     def test_inapplicable_cells_are_counted_not_fatal(self):
         # e*3 = 8.15: d=5 is applicable, d=10 is not.
-        result = run_dimension_sweep(3, 5, 10, 5, 0.05, 42, workers=1, **FAST)
+        result = run_one(d_sweep(3, [5, 10], **FAST))
         assert len(result.records) == 2
         flags = [r.applicable for r in result.records]
         assert flags == [True, False]
@@ -198,9 +233,9 @@ class TestDimensionSweep:
 
     def test_pool_starts_the_largest_d_first(self, monkeypatch):
         # Every cell of a d-sweep has the same m, T and epochs.
-        serial = run_dimension_sweep(20, 2, 80, 26, 0.05, 42, workers=1, **FAST)
+        serial = run_one(d_sweep(20, [2, 28, 54, 80], **FAST))
         pools = in_process_pool(monkeypatch)
-        pooled = run_dimension_sweep(20, 2, 80, 26, 0.05, 42, workers=2, **FAST)
+        pooled = run_one(d_sweep(20, [2, 28, 54, 80], **FAST), workers=2)
         ((_, submitted),) = pools
         assert [spec.params.d for spec in submitted] == [80, 54, 28, 2]
         assert [(r.params, r.gap_report, r.applicable) for r in pooled.records] == [
@@ -213,7 +248,7 @@ class TestDimensionSweep:
         # compares d with e*m, so this d=10 > e*3 cell is applicable and every
         # inapplicable record carries a margin, which inapplicable_count counts on.
         monkeypatch.setattr(sweeps, "evaluate", lambda ensemble, data: (np.array([0.25]), rho))
-        result = run_dimension_sweep(3, 10, 10, 1, 0.05, 42, workers=1, **FAST)
+        result = run_one(d_sweep(3, [10], **FAST))
         (record,) = result.records
         assert record.applicable
         assert record.gap_report.rho == rho
@@ -222,21 +257,48 @@ class TestDimensionSweep:
         assert result.confidence == 1.0
 
 
+class TestOnePoolPerCommand:
+    def test_confidence_runs_its_eight_sweeps_in_one_pool(self, monkeypatch, tmp_path, capsys):
+        argv = [
+            "exp", "confidence", "--m-min", "10", "--m-max", "40", "--m-step", "30",
+            "--d-min", "2", "--d-max", "90", "--d-step", "44", "--t-max", "2", "--epochs", "1",
+        ]
+        assert dispatch(argv + ["--workers", "1", "--out", str(tmp_path / "serial")]) == 0
+        pools = in_process_pool(monkeypatch)
+        assert dispatch(argv + ["--workers", "2", "--out", str(tmp_path / "pooled")]) == 0
+        ((max_workers, submitted),) = pools
+        assert max_workers == 2
+        # confidence's default of three repeats per grid point
+        in_spec_order = [
+            (f"m-sweep-d{d}", m, d) for d in (25, 50, 75, 100) for m in (10, 40) for _ in range(3)
+        ]
+        in_spec_order += [
+            (f"d-sweep-m{m}", m, d)
+            for m in (500, 1000, 1500, 2000) for d in (2, 46, 90) for _ in range(3)
+        ]
+        # every cell has T=2 and one epoch; sorted() is stable, so ties stay in spec order
+        largest_first = sorted(in_spec_order, key=lambda c: -c[1] * c[2])
+        assert [(s.experiment_id, s.params.m, s.params.d) for s in submitted] == largest_first
+        for path in (tmp_path / "serial").iterdir():
+            if path.name != "manifest":
+                assert (tmp_path / "pooled" / path.name).read_bytes() == path.read_bytes()
+
+
 class TestIterationSweep:
     def test_single_cell(self):
-        result = run_iteration_sweep(3, 4, 1, 1, 42, epochs=2, workers=1)
+        result = t_sweep(3, 4, 1, 1, 42)
         assert len(result.records) == 1
         assert result.confidence is None
         assert result.inapplicable_count == 0
 
     def test_deterministic(self):
-        a = run_iteration_sweep(3, 6, 4, 2, 7, epochs=2, workers=1)
-        b = run_iteration_sweep(3, 6, 4, 2, 7, epochs=2, workers=2)
+        a = t_sweep(3, 6, 4, 2, 7)
+        b = t_sweep(3, 6, 4, 2, 7, workers=2)
         for ra, rb in zip(a.records, b.records):
             assert ra.gap_report == rb.gap_report
 
     def test_rows_carry_no_verdict(self):
-        result = run_iteration_sweep(3, 6, 4, 2, 7, epochs=2, workers=1)
+        result = t_sweep(3, 6, 4, 2, 7)
         assert [r.params.T for r in result.records] == [1, 2, 3, 4]
         for rec in result.records:
             assert not rec.applicable
@@ -252,9 +314,9 @@ class TestIterationSweep:
         self, monkeypatch, workers, n_repeats, expected
     ):
         pools = in_process_pool(monkeypatch)
-        pooled = run_iteration_sweep(3, 6, 4, n_repeats, 7, epochs=2, workers=workers)
+        pooled = t_sweep(3, 6, 4, n_repeats, 7, workers=workers)
         assert [max_workers for max_workers, _ in pools] == [expected]
-        serial = run_iteration_sweep(3, 6, 4, n_repeats, 7, epochs=2, workers=1)
+        serial = t_sweep(3, 6, 4, n_repeats, 7)
         assert [r.gap_report for r in pooled.records] == [
             r.gap_report for r in serial.records
         ]
@@ -270,7 +332,7 @@ class TestIterationSweep:
         from boostbound.rng import derive_seed
 
         master = 11
-        result = run_iteration_sweep(3, 6, 4, 1, master, epochs=2, workers=1)
+        result = t_sweep(3, 6, 4, 1, master)
         cell_seed = derive_seed(master, 0, 0, 0)
         data = generate_synthetic(
             SyntheticConfig(n_features=2, m_total=12, seed=derive_seed(cell_seed, 0))
@@ -291,6 +353,26 @@ def halves(ds, master_seed=42):
     return split_half(ds, real_split_seed(master_seed))
 
 
+def real_spec(pair, mode, grid, T=3, epochs=3):
+    """The real-data sweep ("m-sweep" or "d-sweep") over ``grid`` on ``pair``:
+    every feature at each m, or every train row at each d."""
+    rows, width = pair.train.n_rows, pair.train.n_features + 1
+    points = [(g, width) if mode == "m-sweep" else (rows, g) for g in grid]
+    return SweepSpec(f"real-{mode}", "real", points, 1, T, epochs, 0.05)
+
+
+def real_sweep(pair, mode, grid, workers=1):
+    return run_one(real_spec(pair, mode, grid), 42, workers, pair)
+
+
+def no_training(monkeypatch):
+    """Make any boosting fit fail the test: a check must come first."""
+    def train_adaboost(*args):
+        raise AssertionError("trained before the grid was checked")
+
+    monkeypatch.setattr(sweeps, "train_adaboost", train_adaboost)
+
+
 class TestRealData:
     def real_dataset(self, m=120, n=4, seed=13):
         return generate_synthetic(
@@ -299,7 +381,7 @@ class TestRealData:
 
     def test_m_sweep_counts_and_sizes(self):
         ds = self.real_dataset()
-        result = run_real_data(halves(ds), "m-sweep", [20, 40], 0.05, 42, workers=1, **FAST)
+        result = real_sweep(halves(ds), "m-sweep", [20, 40])
         assert len(result.records) == 2
         assert [r.params.m for r in result.records] == [20, 40]
         for rec in result.records:
@@ -313,21 +395,22 @@ class TestRealData:
     )
     def test_deterministic_across_workers(self, mode, grid):
         ds = self.real_dataset()
-        a = run_real_data(halves(ds), mode, grid, 0.05, 42, workers=1, **FAST)
-        b = run_real_data(halves(ds), mode, grid, 0.05, 42, workers=2, **FAST)
+        a = real_sweep(halves(ds), mode, grid)
+        b = real_sweep(halves(ds), mode, grid, workers=2)
         assert len(a.records) == len(b.records) == len(grid)
         for ra, rb in zip(a.records, b.records):
             assert ra.params == rb.params
             assert ra.gap_report == rb.gap_report
 
-    def test_m_sweep_grid_capacity(self):
+    def test_m_sweep_grid_capacity(self, monkeypatch):
         ds = self.real_dataset(m=40)
+        no_training(monkeypatch)
         with pytest.raises(ValueError, match="exceeds the train half"):
-            run_real_data(halves(ds), "m-sweep", [50], 0.05, 42, **FAST)
+            real_sweep(halves(ds), "m-sweep", [50])
 
     def test_d_sweep_uses_top_features(self):
         ds = self.real_dataset()
-        result = run_real_data(halves(ds), "d-sweep", [2, 5], 0.05, 42, workers=1, **FAST)
+        result = real_sweep(halves(ds), "d-sweep", [2, 5])
         assert [r.params.d for r in result.records] == [2, 5]
         # every cell trains on the whole train half
         assert all(r.params.m == 60 for r in result.records)
@@ -335,7 +418,7 @@ class TestRealData:
     def test_d_sweep_full_prefix_is_identity(self):
         # d-1 == n_features keeps the entire (reordered) feature set.
         ds = self.real_dataset()
-        full = run_real_data(halves(ds), "d-sweep", [5], 0.05, 42, workers=1, **FAST)
+        full = real_sweep(halves(ds), "d-sweep", [5])
         assert full.records[0].params.d == 5
         assert full.records[0].applicable
 
@@ -355,7 +438,7 @@ class TestRealData:
         held = pair.train.features.nbytes + pair.test.features.nbytes
         tracemalloc.start()
         try:
-            run_real_data(pair, "d-sweep", [n + 1], 0.05, 42, workers=1, **FAST)
+            real_sweep(pair, "d-sweep", [n + 1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -378,7 +461,7 @@ class TestRealData:
         monkeypatch.setattr(sweeps, "train_adaboost", spy)
         raises = pytest.raises(RuntimeError, match="cell failed") if fail_at else nullcontext()
         with raises:
-            run_real_data(pair, "d-sweep", [3, 5, 7], 0.05, 42, workers=1, **FAST)
+            real_sweep(pair, "d-sweep", [3, 5, 7])
         assert in_file_order[0] and not any(in_file_order[1:])
         assert [h.features.tobytes() for h in (pair.train, pair.test)] == before
         assert not any(h.features.flags.writeable for h in (pair.train, pair.test))
@@ -395,7 +478,7 @@ class TestRealData:
 
         def gap_reports(train, test):
             before = [train.features.tobytes(), test.features.tobytes()]
-            result = run_real_data(SplitPair(train, test), "d-sweep", [3, 7], 0.05, 42, **FAST)
+            result = real_sweep(SplitPair(train, test), "d-sweep", [3, 7])
             assert [train.features.tobytes(), test.features.tobytes()] == before
             return [r.gap_report for r in result.records]
 
@@ -406,14 +489,37 @@ class TestRealData:
         assert gap_reports(frozen(train), frozen(test)) == expected
         assert gap_reports(train, train) == gap_reports(train, viewed(train))
 
-    def test_d_sweep_rejects_too_many_features(self):
+    def test_d_sweep_rejects_too_many_features(self, monkeypatch):
         ds = self.real_dataset(n=3)
+        no_training(monkeypatch)  # not even the ranking fit
         with pytest.raises(ValueError, match="features"):
-            run_real_data(halves(ds), "d-sweep", [6], 0.05, 42, **FAST)
+            real_sweep(halves(ds), "d-sweep", [6])
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
-            run_real_data(halves(self.real_dataset()), "x-sweep", [2], 0.05, 42, **FAST)
+            SweepSpec("real-x-sweep", "real", [(60, 2)], 1, 3, 3, 0.05)
+
+    def test_points_name_what_the_cells_use(self, monkeypatch):
+        pair = halves(self.real_dataset())  # 60 train rows x 4 features
+        no_training(monkeypatch)
+        for mode, point in (("m-sweep", (20, 3)), ("d-sweep", (59, 3))):
+            spec = replace(real_spec(pair, mode, [2]), points=(point,))
+            message = f"real-{mode} point m={point[0]}, d={point[1]} does not use the whole"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run_sweeps([spec], 42, 1, pair)
+        ranked = [real_spec(pair, "d-sweep", [2]), real_spec(pair, "d-sweep", [3], T=4)]
+        with pytest.raises(ValueError, match="must share T and epochs"):
+            run_sweeps(ranked, 42, 1, pair)
+
+    def test_d_sweeps_run_together_share_one_ranking(self):
+        pair = halves(self.real_dataset(n=6))
+        both = run_sweeps(
+            [real_spec(pair, "d-sweep", [3, 7]), real_spec(pair, "d-sweep", [5])], 42, 2, pair
+        )
+        alone = [real_sweep(pair, "d-sweep", [3, 7]), real_sweep(pair, "d-sweep", [5])]
+        assert [[r.gap_report for r in x.records] for x in both] == [
+            [r.gap_report for r in x.records] for x in alone
+        ]
 
 
 class TestTrainCell:
@@ -477,9 +583,9 @@ class TestConfidenceTable:
     def test_rejects_empty_and_verdictless(self):
         with pytest.raises(ValueError):
             confidence_table([])
-        t_sweep = run_iteration_sweep(3, 4, 1, 1, 42, epochs=2, workers=1)
+        staged = t_sweep(3, 4, 1, 1, 42)
         with pytest.raises(ValueError, match="confidence"):
-            confidence_table([t_sweep])
+            confidence_table([staged])
 
 
 class TestPolyfit:
@@ -663,7 +769,7 @@ class TestEmitters:
         assert text.count("<polyline") == 2  # solid fit + dashed bound
 
     def test_svg_without_bound_curve(self, tmp_path):
-        result = run_iteration_sweep(3, 6, 4, 2, 7, epochs=2, workers=1)
+        result = t_sweep(3, 6, 4, 2, 7)
         fit, curve = default_figure(result)
         assert curve is None
         path = tmp_path / "t.svg"
